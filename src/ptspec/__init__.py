@@ -6,9 +6,8 @@ independent finite-difference eigensolver on shifted complex contours
 (``ptspec``).
 """
 
-from .contour import (Contour, HamiltonianMatrix, build_hamiltonian,
-                      contour_for, grid_points, periodic_contour,
-                      potential_value, straight_contour)
+from .contour import (Contour, build_hamiltonian, contour_for, grid_points,
+                      periodic_contour, potential_value, straight_contour)
 from .eigen import (Crossing, MatchReport, ScanResult, SpectrumResult,
                     classify_spectrum, crossing_params, eig_dense,
                     match_spectra, pt_defect, ptho_analytic_family,

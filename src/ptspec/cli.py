@@ -61,7 +61,7 @@ def fnum(x):
 
 
 _SCHEMA = {
-    "model": {"kind", "alpha", "ell", "lambda", "big_m", "shift"},
+    "model": {"kind", "alpha", "ell", "lambda", "shift"},
     "contour": {"npoints", "halfwidth"},
     "tolerances": {"reality", "spurious_factor", "crossing", "match"},
     "scan": {"lo", "hi", "steps", "levels"},
@@ -80,6 +80,10 @@ _DEFAULTS = {
     "wavefunction": {"index": 0, "qparity": 1},
     "verify": {"count": 8},
 }
+
+_INTEGER_FIELDS = [("contour", "npoints"), ("verify", "count"),
+                   ("scan", "steps"), ("scan", "levels"),
+                   ("wavefunction", "index"), ("wavefunction", "qparity")]
 
 
 @dataclasses.dataclass
@@ -109,6 +113,12 @@ class RunConfig:
                 raise ConfigError(f"unknown key(s) in {name!r}: {sorted(bad)}")
             merged.update(given)
             sections[name] = merged
+        for name, key in _INTEGER_FIELDS:
+            v = sections[name][key]
+            if not (isinstance(v, (int, float)) and float(v).is_integer()):
+                raise ConfigError(f"{name}.{key} must be an integer: {v!r}")
+        if sections["verify"]["count"] < 1:
+            raise ConfigError("verify.count must be at least 1")
         return cls(**sections)
 
     def to_dict(self):
@@ -122,8 +132,7 @@ class RunConfig:
         if kind == "angular":
             return AngularParams(ell=float(m.get("ell", 1.0)),
                                  eps=float(m["shift"]),
-                                 lam=float(m.get("lambda", 0.0)),
-                                 big_m=int(m.get("big_m", 2)))
+                                 lam=float(m.get("lambda", 0.0)))
         raise ConfigError(f"unknown model kind {kind!r}")
 
     def build_contour(self, model):
@@ -243,7 +252,6 @@ def cmd_scan(cfg, args):
     family = ptho_numeric_family(
         c=model.c, npoints=int(cfg.contour["npoints"]),
         halfwidth=float(cfg.contour["halfwidth"]),
-        reality_tol=float(cfg.tolerances["reality"]),
         spurious_factor=float(cfg.tolerances["spurious_factor"]))
     sc = cfg.scan
     scan = scan_parameter(family, float(sc["lo"]), float(sc["hi"]),

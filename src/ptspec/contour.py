@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SingularPoint
-from .models import AngularParams, PthoParams
+from .models import AngularParams, PthoParams, require_finite
 
 MIN_POINTS = 16
+MAX_POINTS = 4096    # largest grid build_hamiltonian assembles (16 N^2 bytes)
 DEFAULT_HALFWIDTH = 12.0
 
 
@@ -37,6 +38,7 @@ class Contour:
     npoints: int
 
     def __post_init__(self):
+        require_finite(self)
         if self.kind not in ("straight", "periodic"):
             raise ValueError(f"unknown contour kind {self.kind!r}")
         if self.npoints < MIN_POINTS:
@@ -116,28 +118,17 @@ def potential_value(model, t, shift=None):
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
-@dataclass(frozen=True)
-class HamiltonianMatrix:
-    """Dense storage of the discretized operator plus its grid metadata."""
-    matrix: np.ndarray
-    contour: Contour
-
-    @property
-    def order(self):
-        return self.matrix.shape[0]
-
-    @property
-    def gridstep(self):
-        return self.contour.gridstep
-
-
 def build_hamiltonian(model, g: Contour):
-    """Assemble the 3-point finite-difference matrix of -d^2 + V on g.
+    """Assemble the dense 3-point finite-difference matrix of -d^2 + V on g.
 
     Straight contours get Dirichlet truncation; periodic contours get
     wrap-around corner entries.  The result satisfies the PT structure
-    H[i, j] = conj(H[N-1-j, N-1-i]) exactly.
+    H[i, j] = conj(H[N-1-j, N-1-i]) exactly.  Grids above MAX_POINTS are
+    rejected with ValueError before anything is allocated.
     """
+    if g.npoints > MAX_POINTS:
+        raise ValueError(f"npoints {g.npoints} exceeds the dense-solver "
+                         f"cap {MAX_POINTS}")
     t = grid_points(g)
     h = g.gridstep
     v = potential_value(model, t, shift=g.shift)
@@ -150,4 +141,4 @@ def build_hamiltonian(model, g: Contour):
     if g.kind == "periodic":
         m[0, n - 1] = -1.0 / h ** 2
         m[n - 1, 0] = -1.0 / h ** 2
-    return HamiltonianMatrix(matrix=m, contour=g)
+    return m

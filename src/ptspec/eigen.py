@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import minimize_scalar
 
-from .contour import Contour, HamiltonianMatrix, build_hamiltonian, contour_for
+from .contour import build_hamiltonian, contour_for
 from .exceptions import (InsufficientLevels, NonConvergence,
                          UnpairedComplexValue)
 from .models import PthoParams
@@ -24,7 +24,6 @@ SPURIOUS = "spurious"
 DEFAULT_REALITY_TOL = 1e-7
 DEFAULT_SPURIOUS_FACTOR = 0.5
 DEFAULT_CROSSING_TOL = 1e-3
-DEFAULT_ORDER_CAP = 4096
 BACKWARD_ERROR_TOL = 1e-10
 # maximum relative distance of a retained eigenvalue to the conjugate of
 # the multiset before the input is declared non-PT-structured
@@ -47,30 +46,19 @@ class SpectrumResult:
         mask = np.array([c == REAL for c in self.classifications])
         return self.eigenvalues[mask].real
 
-    def retained(self):
-        """All non-spurious eigenvalues, in sorted order."""
-        if self.classifications is None:
-            return self.eigenvalues
-        mask = np.array([c != SPURIOUS for c in self.classifications])
-        return self.eigenvalues[mask]
-
 
 def _sort_order(values):
     return np.lexsort((values.imag, values.real))
 
 
-def eig_dense(h: HamiltonianMatrix, want_vectors=False,
-              order_cap=DEFAULT_ORDER_CAP):
-    """Full spectrum of the discretized operator.
+def eig_dense(m, want_vectors=False):
+    """Full spectrum of the dense matrix that build_hamiltonian returns.
 
     Eigenvalues come back sorted by real part (imaginary part breaks
     ties).  With want_vectors, eigenvectors are normalized to unit
     Euclidean norm and the backward error ||Hv - Ev|| / ||H|| of every
     pair is verified against 1e-10.
     """
-    if h.order > order_cap:
-        raise ValueError(f"matrix order {h.order} exceeds cap {order_cap}")
-    m = h.matrix
     try:
         if want_vectors:
             values, vectors = scipy.linalg.eig(m, check_finite=False)
@@ -95,7 +83,7 @@ def eig_dense(h: HamiltonianMatrix, want_vectors=False,
 
 
 def classify_spectrum(values, reality_tol=DEFAULT_REALITY_TOL,
-                      spurious_cut=np.inf, pair_tol=None):
+                      spurious_cut=np.inf):
     """Label each eigenvalue real / conjugate-pair / spurious.
 
     A value is real when |Im| <= reality_tol * max(1, |Re|); values with
@@ -105,19 +93,18 @@ def classify_spectrum(values, reality_tol=DEFAULT_REALITY_TOL,
     operator was never PT-structured, and raises UnpairedComplexValue.
 
     The remaining complex values are matched greedily into conjugate
-    pairs (nearest partner first) within pair_tol, which scales like
-    reality_tol (default 1000x it).  Leftovers exist because rounding
-    on a strongly non-normal matrix scatters partners by far more than
-    machine epsilon: a leftover within pair_tol of the axis is a
-    rounding-perturbed real eigenvalue and is demoted to real, one
-    farther out is genuinely complex and keeps the pair label (closure
-    of the whole multiset was already verified).
+    pairs (nearest partner first) within 1000 * reality_tol (relative).
+    Leftovers exist because rounding on a strongly non-normal matrix
+    scatters partners by far more than machine epsilon: a leftover
+    within that distance of the axis is a rounding-perturbed real
+    eigenvalue and is demoted to real, one farther out is genuinely
+    complex and keeps the pair label (closure of the whole multiset was
+    already verified).
     """
     values = np.asarray(values, dtype=complex)
     values = values[_sort_order(values)]
-    if pair_tol is None:
-        pair_tol = 1000.0 * reality_tol
     scale = np.maximum(1.0, np.abs(values.real))
+    pair_dist = 1000.0 * reality_tol * scale
     labels = [None] * len(values)
     for i, v in enumerate(values):
         if v.real > spurious_cut:
@@ -145,17 +132,17 @@ def classify_spectrum(values, reality_tol=DEFAULT_REALITY_TOL,
             d = abs(values[i] - np.conj(values[j]))
             if d < best_d:
                 best, best_d = j, d
-        if best is not None and best_d <= pair_tol * scale[i]:
+        if best is not None and best_d <= pair_dist[i]:
             labels[i] = labels[best] = PAIR
             lower.remove(best)
     for i in pending:
         if labels[i] is None:
-            labels[i] = (REAL if abs(values[i].imag) <= pair_tol * scale[i]
+            labels[i] = (REAL if abs(values[i].imag) <= pair_dist[i]
                          else PAIR)
     return SpectrumResult(eigenvalues=values, classifications=labels)
 
 
-def pt_defect(v, g: Contour = None):
+def pt_defect(v):
     """Distance of a vector from exact PT symmetry on a reflection-
     symmetric grid: min over a unit phase of
     || conj(reverse(v)) - exp(i theta) v || / ||v||.
@@ -174,22 +161,21 @@ def pt_defect(v, g: Contour = None):
 
 def solve_spectrum(model, contour, want_vectors=False,
                    reality_tol=DEFAULT_REALITY_TOL,
-                   spurious_factor=DEFAULT_SPURIOUS_FACTOR,
-                   order_cap=DEFAULT_ORDER_CAP):
+                   spurious_factor=DEFAULT_SPURIOUS_FACTOR):
     """Assemble, diagonalize and classify in one call.
 
     spurious_factor sets the artifact cutoff at factor * 4/h^2, the top
     of the 3-point stencil's dispersion range.
     """
-    ham = build_hamiltonian(model, contour)
-    raw = eig_dense(ham, want_vectors=want_vectors, order_cap=order_cap)
-    cut = spurious_factor * 4.0 / ham.gridstep ** 2
+    raw = eig_dense(build_hamiltonian(model, contour),
+                    want_vectors=want_vectors)
+    cut = spurious_factor * 4.0 / contour.gridstep ** 2
     result = classify_spectrum(raw.eigenvalues, reality_tol=reality_tol,
                                spurious_cut=cut)
     if want_vectors:
         result.eigenvectors = raw.eigenvectors
         result.pt_defects = np.array(
-            [pt_defect(raw.eigenvectors[:, i], contour)
+            [pt_defect(raw.eigenvectors[:, i])
              for i in range(raw.eigenvectors.shape[1])])
     return result
 
@@ -260,7 +246,7 @@ class ScanResult:
 
 
 def scan_parameter(spectrum_fn, lo, hi, steps, levels,
-                   crossing_tol=DEFAULT_CROSSING_TOL, refine=True):
+                   crossing_tol=DEFAULT_CROSSING_TOL):
     """Sweep a spectrum-producing family and locate unavoided crossings.
 
     spectrum_fn(param) must return the retained low-lying eigenvalues
@@ -315,7 +301,7 @@ def scan_parameter(spectrum_fn, lo, hi, steps, levels,
             p_lo = params[max(j - 1, 0)]
             p_hi = params[min(j + 1, len(params) - 1)]
             p_star, g_star = params[j], gaps[j]
-            if refine and p_hi > p_lo:
+            if p_hi > p_lo:
                 try:
                     res = minimize_scalar(lambda p: gap(p, i), bounds=(p_lo, p_hi),
                                           method="bounded",
@@ -332,19 +318,21 @@ def scan_parameter(spectrum_fn, lo, hi, steps, levels,
                       crossings=crossings, failures=failures)
 
 
-def crossing_params(scan: ScanResult, merge_tol=1e-2):
+def crossing_params(scan: ScanResult):
     """Distinct crossing parameter values, merging repeats from different
-    level pairs that meet at the same point."""
+    level pairs that meet at the same point.  The sweep cannot resolve
+    crossings closer than one grid step, so nearer ones are merged."""
+    step = scan.params[1] - scan.params[0]
     out = []
     for c in sorted(scan.crossings, key=lambda c: c.param):
-        if not out or abs(c.param - out[-1]) > merge_tol:
+        if not out or abs(c.param - out[-1]) >= step:
             out.append(c.param)
         else:
             out[-1] = 0.5 * (out[-1] + c.param)
     return out
 
 
-def ptho_analytic_family(c=1.0, nmax=8):
+def ptho_analytic_family(nmax=8):
     """Closed-form oscillator family for scans: alpha -> exact energies."""
     def spectrum(alpha):
         energies = [4.0 * n + 2.0 + s * 2.0 * alpha
@@ -354,7 +342,6 @@ def ptho_analytic_family(c=1.0, nmax=8):
 
 
 def ptho_numeric_family(c=1.0, npoints=600, halfwidth=10.0,
-                        reality_tol=DEFAULT_REALITY_TOL,
                         spurious_factor=DEFAULT_SPURIOUS_FACTOR):
     """Discretized oscillator family for scans.
 
@@ -367,8 +354,7 @@ def ptho_numeric_family(c=1.0, npoints=600, halfwidth=10.0,
     def spectrum(alpha):
         model = PthoParams(alpha=alpha, c=c)
         g = contour_for(model, npoints=npoints, halfwidth=halfwidth)
-        ham = build_hamiltonian(model, g)
-        values = eig_dense(ham).eigenvalues
-        cut = spurious_factor * 4.0 / ham.gridstep ** 2
+        values = eig_dense(build_hamiltonian(model, g)).eigenvalues
+        cut = spurious_factor * 4.0 / g.gridstep ** 2
         return values[values.real <= cut]
     return spectrum

@@ -6,8 +6,8 @@ Two families are covered:
   real axis (coupling alpha, shift c), with the two-branch spectrum
   E = 4n + 2 +/- 2 alpha;
 * the trigonometric Poschl-Teller angular equation on the shifted
-  periodic interval (strengths ell and lam, interval multiplier big_m,
-  shift eps), analytically solvable for lam = 0, big_m = 2 with spectrum
+  periodic interval (strengths ell and lam, shift eps), analytically
+  solvable for lam = 0 and integer ell with spectrum
   E = (k +/- alpha + 1/2)^2, alpha = ell + 1/2.
 
 The +/- label is the quasi-parity of the branch.  Wavefunctions are
@@ -15,13 +15,22 @@ returned unnormalized (overall constant fixed to 1): every consumer in
 this package compares normalization-insensitive quantities only.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .exceptions import UnsupportedModel
 from .specfun import (cpow, gegenbauer, gegenbauer_is_degenerate,
                       gegenbauer_renormalized, hyp2f1, laguerre)
+
+
+def require_finite(params):
+    """Reject a NaN or infinite numeric field of a parameter dataclass."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not isinstance(value, str) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -33,6 +42,7 @@ class PthoParams:
     c: float
 
     def __post_init__(self):
+        require_finite(self)
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.c <= 0 and self.alpha != 0.5:
@@ -45,15 +55,15 @@ class AngularParams:
     """Periodic Poschl-Teller angular equation.
 
     ell drives the ell(ell+1)/sin^2 term, lam the lam(lam+1)/cos^2 term,
-    big_m the interval multiplier, eps > 0 the downward contour shift.
-    Closed-form results exist only for lam = 0, big_m = 2.
+    eps > 0 the downward contour shift.  Closed-form results exist only
+    for lam = 0 and integer ell.
     """
     ell: float
     eps: float
     lam: float = 0.0
-    big_m: int = 2
 
     def __post_init__(self):
+        require_finite(self)
         if self.ell < 0:
             raise ValueError("ell must be non-negative")
         if self.eps <= 0:
@@ -93,8 +103,10 @@ def _check_sign(qparity):
 
 
 def _check_angular(p):
-    if p.lam != 0.0 or p.big_m != 2:
-        raise UnsupportedModel("closed forms require lam = 0 and big_m = 2")
+    # (sin z)^(1/2 +/- alpha) is single-valued on the shifted circle only
+    # for integer ell
+    if p.lam != 0.0 or p.ell != int(p.ell):
+        raise UnsupportedModel("closed forms require lam = 0 and integer ell")
 
 
 def ptho_energy(n, qparity, p: PthoParams):

@@ -2,6 +2,7 @@
 configuration handling."""
 
 import json
+import math
 
 import pytest
 
@@ -31,7 +32,7 @@ class TestConfig:
     def test_round_trip_is_lossless(self):
         doc = {
             "model": {"kind": "angular", "ell": 1.0, "shift": 0.1,
-                      "lambda": 0.0, "big_m": 2, "alpha": 1.5},
+                      "lambda": 0.0, "alpha": 1.5},
             "contour": {"npoints": 64, "halfwidth": 12.0},
             "tolerances": {"reality": 1e-6, "spurious_factor": 0.4,
                            "crossing": 1e-3, "match": 1e-3},
@@ -93,6 +94,44 @@ class TestExitCodes:
         })
         assert main(["wavefunction", "--config", cfg]) == EXIT_CONFIG
         capsys.readouterr()
+
+    @pytest.mark.parametrize("section,key", [
+        ("contour", "npoints"), ("verify", "count"), ("scan", "steps"),
+        ("scan", "levels"), ("wavefunction", "index"),
+        ("wavefunction", "qparity")])
+    def test_non_integer_field_exits_2(self, tmp_path, capsys, section, key):
+        doc = dict(SMALL_PTHO)
+        doc[section] = dict(doc.get(section, {}), **{key: 100.7})
+        code, out = run(["verify", "--config", write_config(tmp_path, doc)],
+                        capsys)
+        assert code == EXIT_CONFIG and out == ""
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_vacuous_verify_exits_2(self, tmp_path, capsys, count):
+        cfg = write_config(tmp_path, dict(SMALL_PTHO, verify={"count": count}))
+        code, out = run(["verify", "--config", cfg], capsys)
+        assert code == EXIT_CONFIG and out == ""
+
+    @pytest.mark.parametrize("section,key", [
+        ("model", "alpha"), ("model", "shift"), ("contour", "halfwidth")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("command", ["spectrum", "wavefunction"])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, command, bad,
+                                      section, key):
+        doc = {name: dict(body) for name, body in SMALL_PTHO.items()}
+        doc[section][key] = bad
+        code, out = run([command, "--config", write_config(tmp_path, doc)],
+                        capsys)
+        assert code == EXIT_CONFIG and out == ""
+
+    def test_non_finite_flag_exits_2(self, capsys):
+        code, out = run(["spectrum", "--npoints", "64", "--shift", "nan"],
+                        capsys)
+        assert code == EXIT_CONFIG and out == ""
+
+    def test_oversize_grid_exits_2(self, capsys):
+        code, out = run(["spectrum", "--npoints", "5000"], capsys)
+        assert code == EXIT_CONFIG and out == ""
 
     def test_coarse_verify_fails_with_exit_4(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

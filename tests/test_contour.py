@@ -1,6 +1,7 @@
 """Contour grids, complex potentials, and the assembled matrices."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,14 @@ class TestContourGeometry:
             ps.Contour("periodic", 0.1, 1.0, 32)
         with pytest.raises(ValueError):
             ps.straight_contour(1.0, npoints=32, halfwidth=-2.0)
+
+    @pytest.mark.parametrize("field", ["shift", "halfwidth", "npoints"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, bad):
+        args = {"kind": "straight", "shift": 1.0, "halfwidth": 8.0,
+                "npoints": 32, field: bad}
+        with pytest.raises(ValueError, match=field):
+            ps.Contour(**args)
 
     def test_contour_for_dispatch(self):
         assert ps.contour_for(ps.PthoParams(1.5, 1.0),
@@ -105,14 +114,26 @@ class TestHamiltonian:
     ])
     def test_pt_structure_exact(self, model, npoints):
         g = ps.contour_for(model, npoints=npoints, halfwidth=8.0)
-        m = ps.build_hamiltonian(model, g).matrix
+        m = ps.build_hamiltonian(model, g)
         assert np.array_equal(m, np.conj(m[::-1, ::-1]).T)
 
-    def test_metadata(self):
+    def test_dense_square_complex(self):
         g = ps.straight_contour(1.0, npoints=32, halfwidth=8.0)
-        ham = ps.build_hamiltonian(ps.PthoParams(0.5, 1.0), g)
-        assert ham.order == 32
-        assert ham.gridstep == g.gridstep
+        m = ps.build_hamiltonian(ps.PthoParams(0.5, 1.0), g)
+        assert m.shape == (32, 32) and m.dtype == complex
+        assert m[0, 1] == -1.0 / g.gridstep ** 2
+
+    def test_oversize_grid_rejected_before_allocation(self):
+        # the dense 5000-point operator would take 400 MB
+        g = ps.straight_contour(1.0, npoints=5000, halfwidth=8.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                ps.build_hamiltonian(ps.PthoParams(1.5, 1.0), g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_free_periodic_matches_circulant_spectrum(self):
         # ell = 0 removes the potential entirely: the matrix is the
@@ -120,8 +141,8 @@ class TestHamiltonian:
         # 2(1 - cos(2 pi k / N)) / h^2
         n = 16
         g = ps.periodic_contour(0.1, npoints=n)
-        ham = ps.build_hamiltonian(ps.AngularParams(ell=0.0, eps=0.1), g)
-        got = np.sort(np.linalg.eigvals(ham.matrix).real)
+        m = ps.build_hamiltonian(ps.AngularParams(ell=0.0, eps=0.1), g)
+        got = np.sort(np.linalg.eigvals(m).real)
         h = g.gridstep
         expect = np.sort(2.0 * (1 - np.cos(2 * np.pi * np.arange(n) / n))
                          / h ** 2)

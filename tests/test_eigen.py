@@ -1,4 +1,4 @@
-"""Eigensolver wrapper, classification, PT defect, matching, and scans."""
+"""Dense eigensolve, classification, PT defect, matching, and scans."""
 
 import math
 
@@ -8,13 +8,6 @@ import pytest
 import ptspec as ps
 from ptspec.eigen import PAIR, REAL, SPURIOUS
 from ptspec.exceptions import InsufficientLevels, UnpairedComplexValue
-
-
-def wrap(matrix):
-    """Package an arbitrary square matrix for eig_dense."""
-    g = ps.straight_contour(1.0, npoints=16, halfwidth=1.0)
-    return ps.HamiltonianMatrix(matrix=np.asarray(matrix, dtype=complex),
-                                contour=g)
 
 
 def faddeev_leverrier(m):
@@ -31,13 +24,15 @@ def faddeev_leverrier(m):
 
 class TestEigDense:
     def test_symmetric_flip(self):
-        vals = ps.eig_dense(wrap([[0, 1], [1, 0]])).eigenvalues
+        m = np.array([[0, 1], [1, 0]], dtype=complex)
+        vals = ps.eig_dense(m).eigenvalues
         assert vals == pytest.approx([-1.0, 1.0], abs=1e-14)
 
     def test_antisymmetric_flip(self):
         # the (Re, Im) sort is ambiguous at Re = 0 +/- rounding, so
         # compare after ordering by imaginary part
-        vals = ps.eig_dense(wrap([[0, 1], [-1, 0]])).eigenvalues
+        m = np.array([[0, 1], [-1, 0]], dtype=complex)
+        vals = ps.eig_dense(m).eigenvalues
         vals = vals[np.argsort(vals.imag)]
         assert vals == pytest.approx([-1j, 1j], abs=1e-14)
 
@@ -45,7 +40,7 @@ class TestEigDense:
         mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(31)
         m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        vals = ps.eig_dense(wrap(m)).eigenvalues
+        vals = ps.eig_dense(m).eigenvalues
         roots = mp.polyroots([mp.mpc(c) for c in faddeev_leverrier(m)],
                              maxsteps=200, extraprec=100)
         roots = sorted((complex(r) for r in roots),
@@ -55,16 +50,12 @@ class TestEigDense:
     def test_eigenvectors_unit_norm_and_consistent(self):
         rng = np.random.default_rng(37)
         m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        res = ps.eig_dense(wrap(m), want_vectors=True)
+        res = ps.eig_dense(m, want_vectors=True)
         norms = np.linalg.norm(res.eigenvectors, axis=0)
         assert np.allclose(norms, 1.0, rtol=1e-13)
         for i, ev in enumerate(res.eigenvalues):
             v = res.eigenvectors[:, i]
             assert np.linalg.norm(m @ v - ev * v) < 1e-10 * np.linalg.norm(m)
-
-    def test_order_cap(self):
-        with pytest.raises(ValueError):
-            ps.eig_dense(wrap(np.eye(10)), order_cap=8)
 
 
 class TestClassify:
@@ -75,7 +66,6 @@ class TestClassify:
         assert sorted(res.classifications) == sorted(
             [REAL, REAL, PAIR, PAIR, SPURIOUS])
         assert list(res.real_values()) == [1.0, 2.0]
-        assert len(res.retained()) == 4
 
     def test_unpaired_complex_raises(self):
         with pytest.raises(UnpairedComplexValue):
@@ -174,6 +164,21 @@ class TestScan:
         assert found[0] == pytest.approx(1.0, abs=1e-2)
         assert found[1] == pytest.approx(2.0, abs=1e-2)
         assert not scan.failures
+
+    def test_crossings_within_one_step_merge(self):
+        # raw crossings of a 41-step N=400 oscillator scan: level pairs
+        # (1,2) and (3,4) meet near alpha = 1, (4,5) and (2,3) near 2;
+        # the sweep cannot resolve points closer than its step of 0.05
+        raw = [(0.9888, (1, 2)), (1.0145, (3, 4)), (1.9973, (4, 5)),
+               (1.9984, (2, 3))]
+        scan = ps.ScanResult(params=np.linspace(0.5, 2.5, 41), energies=[],
+                             crossings=[ps.Crossing(param=p, pair=pair,
+                                                    gap=1e-4)
+                                        for p, pair in raw])
+        found = ps.crossing_params(scan)
+        assert len(found) == 2
+        assert found[0] == pytest.approx(1.0, abs=2e-2)
+        assert found[1] == pytest.approx(2.0, abs=2e-2)
 
     def test_constant_family_has_no_crossings(self):
         scan = ps.scan_parameter(lambda p: np.arange(6, dtype=complex),

@@ -12,8 +12,21 @@ from ptspec.exceptions import UnsupportedModel
 from conftest import ode_residual
 
 
-def angular(ell, eps=0.1, lam=0.0, big_m=2):
-    return ps.AngularParams(ell=ell, eps=eps, lam=lam, big_m=big_m)
+def angular(ell, eps=0.1, lam=0.0):
+    return ps.AngularParams(ell=ell, eps=eps, lam=lam)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make,field", [
+    (lambda x: ps.PthoParams(alpha=x, c=1.0), "alpha"),
+    (lambda x: ps.PthoParams(alpha=1.5, c=x), "c"),
+    (lambda x: ps.AngularParams(ell=x, eps=0.1), "ell"),
+    (lambda x: ps.AngularParams(ell=1.0, eps=x), "eps"),
+    (lambda x: ps.AngularParams(ell=1.0, eps=0.1, lam=x), "lam"),
+])
+def test_non_finite_params_rejected(make, field, bad):
+    with pytest.raises(ValueError, match=field):
+        make(bad)
 
 
 class TestPthoEnergies:
@@ -102,8 +115,18 @@ class TestAngularEnergies:
     def test_unsupported_regimes(self):
         with pytest.raises(UnsupportedModel):
             ps.angular_energy(0, +1, angular(1.0, lam=0.5))
+
+    def test_non_integer_ell_unsupported(self):
+        # (sin z)^(1/2 +/- alpha) is multivalued on the shifted circle
+        # at ell = 1/2: the formula would give 0.25, 0.25, 2.25, ... where
+        # the periodic numerics give 0, 1, 1, 4, ...
+        p = angular(0.5)
         with pytest.raises(UnsupportedModel):
-            ps.angular_energy(0, +1, angular(1.0, big_m=4))
+            ps.termination_levels(p, 3)
+        with pytest.raises(UnsupportedModel):
+            ps.angular_energy(0, +1, p)
+        with pytest.raises(UnsupportedModel):
+            ps.angular_wavefunction(0, +1, p, 0.5)
 
     def test_termination_level_multisets(self):
         lv0 = ps.termination_levels(angular(0.0), 2)
