@@ -2,15 +2,15 @@
 
     ptspec spectrum|verify|scan|wavefunction --config cfg.json
            [--out FILE] [--format csv|json]
-           [--npoints N] [--alpha A] [--shift C] [--tol T]
 
-Configuration is a single JSON document; command-line flags override the
-file.  Every run is deterministic: fixed ordering, floats printed with
-at most 12 significant digits, and the JSON rendering carries exactly
-the same numeric payload as the CSV one.
+Configuration is a single JSON document, the only way to set a run's
+parameters.  It is parsed and range-checked in full against DEFAULTS
+before any numerics run.  Every run is deterministic: fixed ordering,
+floats printed with at most 12 significant digits, and the JSON
+rendering carries exactly the same numeric payload as the CSV one.
 
-Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
-4 verification FAIL.
+Exit codes: 0 success, 2 input rejected before any numerics (bad config,
+unsupported model regime), 3 the numerics failed, 4 verification FAIL.
 """
 
 import argparse
@@ -22,7 +22,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .contour import DEFAULT_HALFWIDTH, contour_for, grid_points
+from .contour import (DEFAULT_HALFWIDTH, MAX_POINTS, contour_for,
+                      grid_points)
 from .eigen import (DEFAULT_CROSSING_TOL, DEFAULT_REALITY_TOL,
                     DEFAULT_SPURIOUS_FACTOR, match_spectra,
                     ptho_numeric_family, scan_parameter, solve_spectrum)
@@ -60,17 +61,11 @@ def fnum(x):
     return float(fmt(x))
 
 
-_SCHEMA = {
-    "model": {"kind", "alpha", "ell", "lambda", "shift"},
-    "contour": {"npoints", "halfwidth"},
-    "tolerances": {"reality", "spurious_factor", "crossing", "match"},
-    "scan": {"lo", "hi", "steps", "levels"},
-    "wavefunction": {"index", "qparity"},
-    "verify": {"count"},
-}
-
-_DEFAULTS = {
-    "model": {"kind": "ptho", "alpha": 1.5, "shift": 1.0},
+# Every config key with its default.  A value must have its default's type:
+# a string, a finite float, or an int given as an integral number.
+DEFAULTS = {
+    "model": {"kind": "ptho", "alpha": 1.5, "ell": 1.0, "lambda": 0.0,
+              "shift": 1.0},
     "contour": {"npoints": 2000, "halfwidth": DEFAULT_HALFWIDTH},
     "tolerances": {"reality": DEFAULT_REALITY_TOL,
                    "spurious_factor": DEFAULT_SPURIOUS_FACTOR,
@@ -81,9 +76,40 @@ _DEFAULTS = {
     "verify": {"count": 8},
 }
 
-_INTEGER_FIELDS = [("contour", "npoints"), ("verify", "count"),
-                   ("scan", "steps"), ("scan", "levels"),
-                   ("wavefunction", "index"), ("wavefunction", "qparity")]
+# the model keys each model kind takes
+MODEL_KEYS = {"ptho": ("kind", "alpha", "shift"),
+              "angular": ("kind", "ell", "lambda", "shift")}
+
+
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a finite number"}
+
+
+def _typed(name, value, default):
+    """`value` as the type of `default`: a string, a finite float, or an
+    int given as an integral number.  Booleans are not numbers here."""
+    want = type(default)
+    ok = isinstance(value, str) if want is str else (
+        type(value) in (int, float) and abs(value) <= sys.float_info.max
+        and (want is float or value == int(value)))
+    if not ok:
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[want]}: {value!r}")
+    return want(value)
+
+
+def _check_bounds(cfg):
+    sc, wf = cfg.scan, cfg.wavefunction
+    for ok, message in [
+            (cfg.verify["count"] >= 1, "verify.count must be at least 1"),
+            (sc["steps"] >= 2, "scan.steps must be at least 2"),
+            (sc["levels"] >= 2, "scan.levels must be at least 2"),
+            (sc["lo"] < sc["hi"], "scan.lo must be below scan.hi"),
+            (wf["index"] >= 0, "wavefunction.index must be non-negative"),
+            (wf["qparity"] in (1, -1),
+             "wavefunction.qparity must be +1 or -1"),
+            (min(cfg.tolerances.values()) >= 0,
+             f"tolerances must be non-negative: {cfg.tolerances}")]:
+        if not ok:
+            raise ConfigError(message)
 
 
 @dataclasses.dataclass
@@ -97,71 +123,63 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc):
+        """Parse and range-check a config document; every value comes out
+        typed, and a section's missing keys take their defaults."""
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
-        unknown = set(doc) - set(_SCHEMA)
+        unknown = set(doc) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
         sections = {}
-        for name, allowed in _SCHEMA.items():
-            merged = dict(_DEFAULTS[name])
+        for name, defaults in DEFAULTS.items():
             given = doc.get(name, {})
             if not isinstance(given, dict):
                 raise ConfigError(f"config section {name!r} must be an object")
-            bad = set(given) - allowed
+            keys, where = list(defaults), repr(name)
+            if name == "model":
+                kind = _typed("model.kind", given.get("kind", defaults["kind"]),
+                              defaults["kind"])
+                if kind not in MODEL_KEYS:
+                    raise ConfigError(f"unknown model kind {kind!r}")
+                keys, where = MODEL_KEYS[kind], f"model of kind {kind!r}"
+            bad = set(given) - set(keys)
             if bad:
-                raise ConfigError(f"unknown key(s) in {name!r}: {sorted(bad)}")
-            merged.update(given)
-            sections[name] = merged
-        for name, key in _INTEGER_FIELDS:
-            v = sections[name][key]
-            if not (isinstance(v, (int, float)) and float(v).is_integer()):
-                raise ConfigError(f"{name}.{key} must be an integer: {v!r}")
-        if sections["verify"]["count"] < 1:
-            raise ConfigError("verify.count must be at least 1")
-        return cls(**sections)
+                raise ConfigError(f"unknown key(s) in {where}: {sorted(bad)}")
+            sections[name] = {
+                key: _typed(f"{name}.{key}", given.get(key, defaults[key]),
+                            defaults[key]) for key in keys}
+        cfg = cls(**sections)
+        _check_bounds(cfg)
+        return cfg
 
     def to_dict(self):
-        return {name: dict(getattr(self, name)) for name in _SCHEMA}
+        return {name: dict(getattr(self, name)) for name in DEFAULTS}
 
-    def build_model(self):
+    def build(self):
+        """The model and its contour; ConfigError when a value lies outside
+        the model's or the contour's domain."""
         m = self.model
-        kind = m.get("kind")
-        if kind == "ptho":
-            return PthoParams(alpha=float(m["alpha"]), c=float(m["shift"]))
-        if kind == "angular":
-            return AngularParams(ell=float(m.get("ell", 1.0)),
-                                 eps=float(m["shift"]),
-                                 lam=float(m.get("lambda", 0.0)))
-        raise ConfigError(f"unknown model kind {kind!r}")
-
-    def build_contour(self, model):
-        return contour_for(model, npoints=int(self.contour["npoints"]),
-                           halfwidth=float(self.contour["halfwidth"]))
-
-
-def load_config(args):
-    doc = {}
-    if args.config:
         try:
-            with open(args.config) as fh:
+            if m["kind"] == "ptho":
+                model = PthoParams(alpha=m["alpha"], c=m["shift"])
+            else:
+                model = AngularParams(ell=m["ell"], eps=m["shift"],
+                                      lam=m["lambda"])
+            return model, contour_for(model, self.contour["npoints"],
+                                      self.contour["halfwidth"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+
+def load_config(path):
+    doc = {}
+    if path:
+        try:
+            with open(path) as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-    cfg = RunConfig.from_dict(doc)
-    if args.npoints is not None:
-        cfg.contour["npoints"] = args.npoints
-    if args.alpha is not None:
-        cfg.model["alpha"] = args.alpha
-        cfg.model["ell"] = args.alpha - 0.5
-    if args.shift is not None:
-        cfg.model["shift"] = args.shift
-    if args.tol is not None:
-        # --tol targets the tolerance the command acts on
-        key = {"verify": "match", "scan": "crossing"}.get(args.command,
-                                                          "reality")
-        cfg.tolerances[key] = args.tol
-    return cfg
+    return RunConfig.from_dict(doc)
 
 
 def _render(payload, columns, rows, comments, out, outfmt):
@@ -174,7 +192,6 @@ def _render(payload, columns, rows, comments, out, outfmt):
         lines.extend(comments)
         text = "\n".join(lines) + "\n"
     else:
-        payload = dict(payload)
         payload["columns"] = columns
         payload["rows"] = [[fnum(x) if not isinstance(x, str) else x
                             for x in row] for row in rows]
@@ -188,75 +205,63 @@ def _render(payload, columns, rows, comments, out, outfmt):
 
 def _analytic_levels(model, count):
     """Enough closed-form levels to cover the lowest `count` energies."""
-    depth = count + int(math.ceil(getattr(model, "alpha", 0.0))) + 2
+    depth = count + int(math.ceil(model.alpha)) + 2
     if isinstance(model, PthoParams):
         return ptho_levels(model, depth)
     return termination_levels(model, depth)
 
 
-def cmd_spectrum(cfg, args):
-    model = cfg.build_model()
-    g = cfg.build_contour(model)
+# Each command returns (columns, rows, comments, extra payload, exit code).
+
+def cmd_spectrum(cfg, model, g):
+    tol = cfg.tolerances
     result = solve_spectrum(model, g, want_vectors=True,
-                            reality_tol=float(cfg.tolerances["reality"]),
-                            spurious_factor=float(
-                                cfg.tolerances["spurious_factor"]))
+                            reality_tol=tol["reality"],
+                            spurious_factor=tol["spurious_factor"])
     rows = [[i, ev.real, ev.imag, result.classifications[i],
              result.pt_defects[i]]
             for i, ev in enumerate(result.eigenvalues)]
-    payload = {"format_version": FORMAT_VERSION, "command": "spectrum",
-               "config": cfg.to_dict()}
-    _render(payload, ["index", "re_e", "im_e", "class", "pt_defect"],
-            rows, [], args.out, args.format)
-    return EXIT_OK
+    return (["index", "re_e", "im_e", "class", "pt_defect"], rows, [], {},
+            EXIT_OK)
 
 
-def cmd_verify(cfg, args):
-    model = cfg.build_model()
-    g = cfg.build_contour(model)
-    count = int(cfg.verify["count"])
+def cmd_verify(cfg, model, g):
+    tol = cfg.tolerances
+    count = cfg.verify["count"]
     levels = _analytic_levels(model, count)
-    result = solve_spectrum(model, g,
-                            reality_tol=float(cfg.tolerances["reality"]),
-                            spurious_factor=float(
-                                cfg.tolerances["spurious_factor"]))
+    result = solve_spectrum(model, g, reality_tol=tol["reality"],
+                            spurious_factor=tol["spurious_factor"])
     comments = []
     try:
-        report = match_spectra(result, levels, count,
-                               tol=float(cfg.tolerances["match"]))
+        report = match_spectra(result, levels, count, tol=tol["match"])
         passed = report.passed
     except InsufficientLevels:
         # too few real levels survive on this grid: report what exists
         available = len(result.real_values())
-        report = match_spectra(result, levels, available,
-                               tol=float(cfg.tolerances["match"]))
+        report = match_spectra(result, levels, available, tol=tol["match"])
         passed = False
         comments.append(f"# insufficient real levels ({available} < {count})")
     rows = [[i, e.numeric, e.analytic, e.abs_err, e.rel_err]
             for i, e in enumerate(report.entries)]
     verdict = "PASS" if passed else "FAIL"
-    payload = {"format_version": FORMAT_VERSION, "command": "verify",
-               "config": cfg.to_dict(), "passed": passed}
     comments.append(f"# {verdict}" + (
         f" worst_rel_err={fmt(report.worst_rel_err)}" if report.entries else ""))
-    _render(payload, ["index", "numeric", "analytic", "abs_err", "rel_err"],
-            rows, comments, args.out, args.format)
-    return EXIT_OK if passed else EXIT_VERIFY_FAIL
+    return (["index", "numeric", "analytic", "abs_err", "rel_err"], rows,
+            comments, {"passed": passed},
+            EXIT_OK if passed else EXIT_VERIFY_FAIL)
 
 
-def cmd_scan(cfg, args):
-    model = cfg.build_model()
+def cmd_scan(cfg, model, g):
     if not isinstance(model, PthoParams):
         raise ConfigError("scan sweeps the oscillator coupling; "
                           "model kind must be 'ptho'")
     family = ptho_numeric_family(
-        c=model.c, npoints=int(cfg.contour["npoints"]),
-        halfwidth=float(cfg.contour["halfwidth"]),
-        spurious_factor=float(cfg.tolerances["spurious_factor"]))
+        c=model.c, npoints=g.npoints, halfwidth=g.halfwidth,
+        spurious_factor=cfg.tolerances["spurious_factor"])
     sc = cfg.scan
-    scan = scan_parameter(family, float(sc["lo"]), float(sc["hi"]),
-                          int(sc["steps"]), int(sc["levels"]),
-                          crossing_tol=float(cfg.tolerances["crossing"]))
+    scan = scan_parameter(family, sc["lo"], sc["hi"], sc["steps"],
+                          sc["levels"],
+                          crossing_tol=cfg.tolerances["crossing"])
     rows = []
     for p, evs in zip(scan.params, scan.energies):
         if evs is None:
@@ -268,34 +273,24 @@ def cmd_scan(cfg, args):
                 for c in scan.crossings]
     comments += [f"# failed param={fmt(p)}: {msg}"
                  for p, msg in scan.failures]
-    payload = {"format_version": FORMAT_VERSION, "command": "scan",
-               "config": cfg.to_dict(),
-               "crossings": [{"param": fnum(c.param),
-                              "levels": list(c.pair),
-                              "gap": fnum(c.gap)} for c in scan.crossings],
-               "failures": [{"param": fnum(p), "error": m}
-                            for p, m in scan.failures]}
-    _render(payload, ["param", "index", "re_e", "im_e"], rows, comments,
-            args.out, args.format)
-    return EXIT_OK
+    extra = {"crossings": [{"param": fnum(c.param),
+                            "levels": list(c.pair),
+                            "gap": fnum(c.gap)} for c in scan.crossings],
+             "failures": [{"param": fnum(p), "error": m}
+                          for p, m in scan.failures]}
+    return ["param", "index", "re_e", "im_e"], rows, comments, extra, EXIT_OK
 
 
-def cmd_wavefunction(cfg, args):
-    model = cfg.build_model()
-    g = cfg.build_contour(model)
-    idx = int(cfg.wavefunction["index"])
-    qp = int(cfg.wavefunction["qparity"])
+def cmd_wavefunction(cfg, model, g):
+    idx = cfg.wavefunction["index"]
+    qp = cfg.wavefunction["qparity"]
     t = grid_points(g)
     if isinstance(model, PthoParams):
         psi = ptho_wavefunction(idx, qp, model, t)
     else:
         psi = angular_wavefunction(idx, qp, model, t)
     rows = [[tj, pj.real, pj.imag] for tj, pj in zip(t, psi)]
-    payload = {"format_version": FORMAT_VERSION, "command": "wavefunction",
-               "config": cfg.to_dict()}
-    _render(payload, ["t", "re_psi", "im_psi"], rows, [], args.out,
-            args.format)
-    return EXIT_OK
+    return ["t", "re_psi", "im_psi"], rows, [], {}, EXIT_OK
 
 
 _COMMANDS = {
@@ -316,26 +311,30 @@ def build_parser():
     p.add_argument("--config", help="JSON configuration file")
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--npoints", type=int, help="override grid size")
-    p.add_argument("--alpha", type=float,
-                   help="override coupling (alpha; ell = alpha - 1/2)")
-    p.add_argument("--shift", type=float, help="override contour shift")
-    p.add_argument("--tol", type=float,
-                   help="override the tolerance the command acts on")
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
-        return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, UnsupportedModel, ValueError) as exc:
+        cfg = load_config(args.config)
+        model, g = cfg.build()
+        # the eigensolver commands assemble a dense N x N operator
+        if args.command != "wavefunction" and g.npoints > MAX_POINTS:
+            raise ConfigError(f"contour.npoints {g.npoints} exceeds the "
+                              f"dense-solver cap {MAX_POINTS}")
+        columns, rows, comments, extra, code = _COMMANDS[args.command](
+            cfg, model, g)
+    except (ConfigError, UnsupportedModel) as exc:
         print(f"ptspec: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonConvergence, UnpairedComplexValue) as exc:
+    except (NonConvergence, UnpairedComplexValue, ValueError) as exc:
         print(f"ptspec: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    payload = {"format_version": FORMAT_VERSION, "command": args.command,
+               "config": cfg.to_dict(), **extra}
+    _render(payload, columns, rows, comments, args.out, args.format)
+    return code
 
 
 if __name__ == "__main__":

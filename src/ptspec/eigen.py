@@ -159,6 +159,11 @@ def pt_defect(v):
                  / np.linalg.norm(v))
 
 
+def _spurious_cut(g, spurious_factor):
+    """Eigenvalues with real part above this are grid artifacts."""
+    return spurious_factor * 4.0 / g.gridstep ** 2
+
+
 def solve_spectrum(model, contour, want_vectors=False,
                    reality_tol=DEFAULT_REALITY_TOL,
                    spurious_factor=DEFAULT_SPURIOUS_FACTOR):
@@ -169,7 +174,7 @@ def solve_spectrum(model, contour, want_vectors=False,
     """
     raw = eig_dense(build_hamiltonian(model, contour),
                     want_vectors=want_vectors)
-    cut = spurious_factor * 4.0 / contour.gridstep ** 2
+    cut = _spurious_cut(contour, spurious_factor)
     result = classify_spectrum(raw.eigenvalues, reality_tol=reality_tol,
                                spurious_cut=cut)
     if want_vectors:
@@ -355,6 +360,5 @@ def ptho_numeric_family(c=1.0, npoints=600, halfwidth=10.0,
         model = PthoParams(alpha=alpha, c=c)
         g = contour_for(model, npoints=npoints, halfwidth=halfwidth)
         values = eig_dense(build_hamiltonian(model, g)).eigenvalues
-        cut = spurious_factor * 4.0 / g.gridstep ** 2
-        return values[values.real <= cut]
+        return values[values.real <= _spurious_cut(g, spurious_factor)]
     return spectrum

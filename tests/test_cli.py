@@ -5,9 +5,13 @@ import json
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
-from ptspec.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAIL, RunConfig,
-                        fmt, fnum, main)
+import ptspec.cli
+from ptspec.cli import (DEFAULTS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
+                        EXIT_VERIFY_FAIL, MODEL_KEYS, ConfigError, RunConfig,
+                        build_parser, fmt, fnum, main)
+from ptspec.exceptions import DomainError
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -26,13 +30,31 @@ SMALL_PTHO = {
     "model": {"kind": "ptho", "alpha": 0.5, "shift": 1.0},
     "contour": {"npoints": 200, "halfwidth": 10.0},
 }
+SMALL_ANGULAR = {
+    "model": {"kind": "angular", "ell": 1.0, "lambda": 0.0, "shift": 0.1},
+    "contour": {"npoints": 64},
+}
+
+# every numeric (section, key) of the schema, by the type of its default
+FIELDS = {want: [(name, key) for name, body in DEFAULTS.items()
+                 for key, default in body.items() if type(default) is want]
+          for want in (int, float)}
+
+
+def doc_with(section, key, value):
+    """A small config of the model kind that takes `key`, with one value
+    replaced."""
+    base = SMALL_ANGULAR if key in ("ell", "lambda") else SMALL_PTHO
+    doc = {name: dict(body) for name, body in base.items()}
+    doc.setdefault(section, {})[key] = value
+    return doc
 
 
 class TestConfig:
     def test_round_trip_is_lossless(self):
         doc = {
             "model": {"kind": "angular", "ell": 1.0, "shift": 0.1,
-                      "lambda": 0.0, "alpha": 1.5},
+                      "lambda": 0.0},
             "contour": {"npoints": 64, "halfwidth": 12.0},
             "tolerances": {"reality": 1e-6, "spurious_factor": 0.4,
                            "crossing": 1e-3, "match": 1e-3},
@@ -54,14 +76,76 @@ class TestConfig:
 
     def test_defaults_fill_missing_sections(self):
         cfg = RunConfig.from_dict({})
-        assert cfg.model["kind"] == "ptho"
+        assert cfg.model == {"kind": "ptho", "alpha": 1.5, "shift": 1.0}
         assert cfg.contour["npoints"] == 2000
+        angular = RunConfig.from_dict({"model": {"kind": "angular"}})
+        assert angular.model == {"kind": "angular", "ell": 1.0,
+                                 "lambda": 0.0, "shift": 1.0}
+
+    def test_values_come_out_typed(self):
+        cfg = RunConfig.from_dict({"contour": {"npoints": 64.0,
+                                               "halfwidth": 8}})
+        assert type(cfg.contour["npoints"]) is int
+        assert type(cfg.contour["halfwidth"]) is float
 
     def test_fmt_caps_significant_digits(self):
         assert fmt(1.0) == "1"
         assert fmt(0.1 + 0.2) == "0.3"
         assert fnum(0.1 + 0.2) == 0.3
         assert fmt(3) == "3"
+
+
+def valid_value(section, key, default):
+    """Values from_dict accepts for one numeric field."""
+    if type(default) is float:
+        return st.floats(0.0 if section == "tolerances" else -1e6, 1e6)
+    lo = {"count": 1, "steps": 2, "levels": 2, "index": 0}.get(key)
+    ints = (st.sampled_from([1, -1]) if key == "qparity"
+            else st.integers(min_value=lo, max_value=10 ** 6))
+    return st.one_of(ints, ints.map(float))   # an integral float is an int
+
+
+@st.composite
+def valid_docs(draw):
+    """A config document: any subset of sections and keys, for either
+    model kind."""
+    kind = draw(st.sampled_from(sorted(MODEL_KEYS)))
+    doc = {}
+    for name, defaults in DEFAULTS.items():
+        keys = MODEL_KEYS[kind] if name == "model" else list(defaults)
+        body = {key: draw(valid_value(name, key, defaults[key]))
+                for key in keys if key != "kind" and draw(st.booleans())}
+        if name == "model" and (kind != "ptho" or draw(st.booleans())):
+            body["kind"] = kind
+        if body or draw(st.booleans()):
+            doc[name] = body
+    scan = doc.get("scan", {})
+    lo, hi = scan.get("lo", 0.5), scan.get("hi", 2.5)
+    if lo >= hi:
+        scan["lo"], scan["hi"] = hi - 1.0, hi
+    return doc
+
+
+class TestConfigProperties:
+    """from_dict over documents drawn from the schema; no solves."""
+
+    @given(valid_docs())
+    def test_valid_documents_round_trip(self, doc):
+        cfg = RunConfig.from_dict(doc)
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+    @given(valid_docs(), st.data())
+    def test_one_bad_value_is_rejected(self, doc, data):
+        kind = doc.get("model", {}).get("kind", "ptho")
+        section = data.draw(st.sampled_from(sorted(DEFAULTS)))
+        keys = MODEL_KEYS[kind] if section == "model" else DEFAULTS[section]
+        key = data.draw(st.sampled_from(sorted(keys)))
+        bad = [math.nan, math.inf, -math.inf, "2.5", True, False]
+        if type(DEFAULTS[section][key]) is int:
+            bad.append(data.draw(st.floats(0.01, 0.99)) + 3)
+        doc.setdefault(section, {})[key] = data.draw(st.sampled_from(bad))
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(doc)
 
 
 class TestExitCodes:
@@ -95,13 +179,9 @@ class TestExitCodes:
         assert main(["wavefunction", "--config", cfg]) == EXIT_CONFIG
         capsys.readouterr()
 
-    @pytest.mark.parametrize("section,key", [
-        ("contour", "npoints"), ("verify", "count"), ("scan", "steps"),
-        ("scan", "levels"), ("wavefunction", "index"),
-        ("wavefunction", "qparity")])
+    @pytest.mark.parametrize("section,key", FIELDS[int])
     def test_non_integer_field_exits_2(self, tmp_path, capsys, section, key):
-        doc = dict(SMALL_PTHO)
-        doc[section] = dict(doc.get(section, {}), **{key: 100.7})
+        doc = doc_with(section, key, 100.7)
         code, out = run(["verify", "--config", write_config(tmp_path, doc)],
                         capsys)
         assert code == EXIT_CONFIG and out == ""
@@ -112,26 +192,79 @@ class TestExitCodes:
         code, out = run(["verify", "--config", cfg], capsys)
         assert code == EXIT_CONFIG and out == ""
 
-    @pytest.mark.parametrize("section,key", [
-        ("model", "alpha"), ("model", "shift"), ("contour", "halfwidth")])
+    @pytest.mark.parametrize("section,key", FIELDS[float])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("command", ["spectrum", "wavefunction"])
+    @pytest.mark.parametrize("command",
+                             ["spectrum", "wavefunction", "verify", "scan"])
     def test_non_finite_input_exits_2(self, tmp_path, capsys, command, bad,
                                       section, key):
-        doc = {name: dict(body) for name, body in SMALL_PTHO.items()}
-        doc[section][key] = bad
+        doc = doc_with(section, key, bad)
         code, out = run([command, "--config", write_config(tmp_path, doc)],
                         capsys)
         assert code == EXIT_CONFIG and out == ""
 
-    def test_non_finite_flag_exits_2(self, capsys):
-        code, out = run(["spectrum", "--npoints", "64", "--shift", "nan"],
+    @pytest.mark.parametrize("section,key", FIELDS[int] + FIELDS[float])
+    @pytest.mark.parametrize("bad", ["2.5", True])
+    def test_non_number_exits_2(self, tmp_path, capsys, bad, section, key):
+        doc = doc_with(section, key, bad)
+        code, out = run(["verify", "--config", write_config(tmp_path, doc)],
                         capsys)
         assert code == EXIT_CONFIG and out == ""
 
-    def test_oversize_grid_exits_2(self, capsys):
-        code, out = run(["spectrum", "--npoints", "5000"], capsys)
+    @pytest.mark.parametrize("command,doc", [
+        ("scan", dict(SMALL_PTHO, scan={"lo": 2.0, "hi": 1.0})),
+        ("scan", dict(SMALL_PTHO, scan={"lo": 1.0, "hi": 1.0})),
+        ("scan", dict(SMALL_PTHO, scan={"levels": 0})),
+        ("scan", dict(SMALL_PTHO, scan={"steps": 1})),
+        ("verify", dict(SMALL_PTHO, tolerances={"match": -1.0})),
+        ("verify", dict(SMALL_PTHO, tolerances={"reality": -1e-9})),
+        ("spectrum", dict(SMALL_PTHO, tolerances={"spurious_factor": -1.0})),
+        ("wavefunction", dict(SMALL_PTHO, wavefunction={"index": -1})),
+        ("wavefunction", dict(SMALL_PTHO, wavefunction={"qparity": 0})),
+        ("wavefunction", {"model": {"kind": "ptho", "ell": 7.0},
+                          "contour": {"npoints": 64}}),
+        ("wavefunction", {"model": {"kind": "angular", "alpha": 7.0},
+                          "contour": {"npoints": 64}}),
+        ("spectrum", {"model": {"kind": 1}}),
+    ], ids=["lo-above-hi", "lo-equals-hi", "levels-0", "steps-1",
+            "match-negative", "reality-negative", "spurious-negative",
+            "index-negative", "qparity-0", "ptho-with-ell",
+            "angular-with-alpha", "kind-not-a-string"])
+    def test_out_of_range_exits_2(self, tmp_path, capsys, command, doc):
+        code, out = run([command, "--config", write_config(tmp_path, doc)],
+                        capsys)
         assert code == EXIT_CONFIG and out == ""
+
+    def test_non_finite_flag_exits_2(self, tmp_path, capsys):
+        # NaN is a JSON literal that json.load accepts
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"contour": {"npoints": 64},'
+                       ' "tolerances": {"match": NaN}}')
+        code, out = run(["verify", "--config", str(cfg)], capsys)
+        assert code == EXIT_CONFIG and out == ""
+
+    def test_oversize_grid_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(SMALL_PTHO,
+                                          contour={"npoints": 5000}))
+        for command in ("spectrum", "verify", "scan"):
+            code, out = run([command, "--config", cfg], capsys)
+            assert (command, code, out) == (command, EXIT_CONFIG, "")
+
+    def test_solver_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise DomainError("outside the domain")
+        monkeypatch.setattr(ptspec.cli, "solve_spectrum", fail)
+        cfg = write_config(tmp_path, SMALL_PTHO)
+        code = main(["spectrum", "--config", cfg])
+        captured = capsys.readouterr()
+        assert code == EXIT_SOLVER and captured.out == ""
+        assert "solver failed" in captured.err
+
+    def test_config_file_is_the_only_input(self):
+        options = {opt for action in build_parser()._actions
+                   for opt in action.option_strings}
+        assert options == {"-h", "--help", "--version", "--config", "--out",
+                           "--format"}
 
     def test_coarse_verify_fails_with_exit_4(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -195,17 +328,6 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert "# PASS" in out
 
-    def test_tol_flag_overrides_match_tolerance(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {
-            "model": {"kind": "ptho", "alpha": 1.5, "shift": 1.0},
-            "contour": {"npoints": 500, "halfwidth": 12.0},
-            "verify": {"count": 4},
-        })
-        code, out = run(["verify", "--config", cfg, "--tol", "1e-12"],
-                        capsys)
-        assert code == EXIT_VERIFY_FAIL
-        assert "# FAIL" in out
-
 
 class TestWavefunctionCommand:
     def test_pt_symmetric_profile(self, tmp_path, capsys):
@@ -224,15 +346,3 @@ class TestWavefunctionCommand:
             assert tr == -t
             assert rer == pytest.approx(re, abs=1e-9)
             assert imr == pytest.approx(-im, abs=1e-9)
-
-    def test_alpha_flag_overrides_model(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {
-            "model": {"kind": "ptho", "alpha": 1.5, "shift": 1.0},
-            "contour": {"npoints": 32, "halfwidth": 6.0},
-        })
-        _, out = run(["wavefunction", "--config", cfg, "--format", "json",
-                      "--alpha", "2.5", "--npoints", "48"], capsys)
-        doc = json.loads(out)
-        assert doc["config"]["model"]["alpha"] == 2.5
-        assert doc["config"]["contour"]["npoints"] == 48
-        assert len(doc["rows"]) == 48
