@@ -76,9 +76,12 @@ DEFAULTS = {
     "verify": {"count": 8},
 }
 
-# the model keys each model kind takes
-MODEL_KEYS = {"ptho": ("kind", "alpha", "shift"),
-              "angular": ("kind", "ell", "lambda", "shift")}
+# the keys each model kind takes, in the sections where the kinds differ;
+# the angular model's periodic contour has no halfwidth
+MODEL_KEYS = {"ptho": {"model": ("kind", "alpha", "shift"),
+                       "contour": ("npoints", "halfwidth")},
+              "angular": {"model": ("kind", "ell", "lambda", "shift"),
+                          "contour": ("npoints",)}}
 
 
 _TYPE_NAMES = {str: "a string", int: "an integer", float: "a finite number"}
@@ -102,6 +105,7 @@ def _check_bounds(cfg):
             (cfg.verify["count"] >= 1, "verify.count must be at least 1"),
             (sc["steps"] >= 2, "scan.steps must be at least 2"),
             (sc["levels"] >= 2, "scan.levels must be at least 2"),
+            (sc["lo"] > 0, "scan.lo must be positive"),
             (sc["lo"] < sc["hi"], "scan.lo must be below scan.hi"),
             (wf["index"] >= 0, "wavefunction.index must be non-negative"),
             (wf["qparity"] in (1, -1),
@@ -135,13 +139,15 @@ class RunConfig:
             given = doc.get(name, {})
             if not isinstance(given, dict):
                 raise ConfigError(f"config section {name!r} must be an object")
-            keys, where = list(defaults), repr(name)
             if name == "model":
                 kind = _typed("model.kind", given.get("kind", defaults["kind"]),
                               defaults["kind"])
                 if kind not in MODEL_KEYS:
                     raise ConfigError(f"unknown model kind {kind!r}")
-                keys, where = MODEL_KEYS[kind], f"model of kind {kind!r}"
+            keys, where = list(defaults), repr(name)
+            if name in MODEL_KEYS[kind]:
+                keys = MODEL_KEYS[kind][name]
+                where = f"{name!r} for model kind {kind!r}"
             bad = set(given) - set(keys)
             if bad:
                 raise ConfigError(f"unknown key(s) in {where}: {sorted(bad)}")
@@ -165,8 +171,7 @@ class RunConfig:
             else:
                 model = AngularParams(ell=m["ell"], eps=m["shift"],
                                       lam=m["lambda"])
-            return model, contour_for(model, self.contour["npoints"],
-                                      self.contour["halfwidth"])
+            return model, contour_for(model, **self.contour)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -3,14 +3,13 @@
 The eigensolver itself delegates to LAPACK's balanced Hessenberg-QR
 driver (scipy.linalg.eig); everything around it -- reality/conjugate-pair
 classification, PT-defect of eigenvectors, matching against closed-form
-levels, and coupling scans with crossing refinement -- lives here.
+levels, and coupling scans that locate level crossings -- lives here.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import minimize_scalar
 
 from .contour import build_hamiltonian, contour_for
 from .exceptions import (InsufficientLevels, NonConvergence,
@@ -255,69 +254,59 @@ def scan_parameter(spectrum_fn, lo, hi, steps, levels,
     """Sweep a spectrum-producing family and locate unavoided crossings.
 
     spectrum_fn(param) must return the retained low-lying eigenvalues
-    (complex, enough of them to cover `levels`).  Adjacent-gap local
-    minima over the sweep are refined by bounded scalar minimization of
-    the gap; a refined minimum below crossing_tol is reported as a
-    crossing of that level pair.  A family evaluation that raises is
-    recorded as a failure and its grid point skipped.
+    (complex, enough of them to cover `levels`).  It is called exactly
+    once per sweep point and nowhere else.  A family evaluation that
+    raises is recorded as a failure and its grid point skipped.
+
+    Two levels that cross linearly have an adjacent gap shaped like a V,
+    g(p) = g* + s |p - p*|.  At each local minimum of a pair's sampled
+    gap the V is fitted to the two neighbouring samples, with the slope
+    s taken from the arms one step further out: the sample at the
+    minimum may lie inside the exceptional-point window, off the V.  A
+    crossing of that level pair is reported at p* when the apex gap g*
+    is below crossing_tol, and Crossing.gap is max(g*, 0).  At the sweep
+    ends, next to a failed point, or where the gap is flat, the sampled
+    minimum stands as it is.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
     params = np.linspace(lo, hi, steps)
-    cache = {}
-
-    def retained(p):
-        p = float(p)
-        if p not in cache:
-            vals = np.asarray(spectrum_fn(p), dtype=complex)
+    step = params[1] - params[0]
+    energies, failures = [], []
+    for p in params:
+        try:
+            vals = np.asarray(spectrum_fn(float(p)), dtype=complex)
             vals = vals[_sort_order(vals)]
             if len(vals) < levels:
                 raise InsufficientLevels(
                     f"family produced {len(vals)} levels, need {levels}")
-            cache[p] = vals[:levels]
-        return cache[p]
-
-    energies, ok, failures = [], [], []
-    for p in params:
-        try:
-            energies.append(retained(p))
-            ok.append(True)
+            energies.append(vals[:levels])
         except Exception as exc:        # record and skip the bad point
             energies.append(None)
-            ok.append(False)
             failures.append((float(p), str(exc)))
-
-    def gap(p, i):
-        vals = retained(p)
-        return abs(vals[i + 1] - vals[i])
 
     crossings = []
     for i in range(levels - 1):
         gaps = np.array([abs(e[i + 1] - e[i]) if e is not None else np.nan
                          for e in energies])
-        for j in range(len(params)):
-            if np.isnan(gaps[j]):
+        padded = np.pad(gaps, 2, constant_values=np.nan)
+        for j, p in enumerate(params):
+            # a missing neighbour is NaN, which no comparison holds for
+            far_left, left, mid, right, far_right = padded[j:j + 5]
+            if np.isnan(mid) or mid > left or mid >= right:
                 continue
-            left = gaps[j - 1] if j > 0 and not np.isnan(gaps[j - 1]) else np.inf
-            right = (gaps[j + 1] if j + 1 < len(gaps)
-                     and not np.isnan(gaps[j + 1]) else np.inf)
-            if not (gaps[j] <= left and gaps[j] < right):
-                continue
-            p_lo = params[max(j - 1, 0)]
-            p_hi = params[min(j + 1, len(params) - 1)]
-            p_star, g_star = params[j], gaps[j]
-            if p_hi > p_lo:
-                try:
-                    res = minimize_scalar(lambda p: gap(p, i), bounds=(p_lo, p_hi),
-                                          method="bounded",
-                                          options={"xatol": 1e-4, "maxiter": 60})
-                    if res.fun < g_star:
-                        p_star, g_star = float(res.x), float(res.fun)
-                except Exception as exc:
-                    failures.append((float(params[j]), str(exc)))
+            p_star, g_star = p, mid
+            if not np.isnan(left + right):
+                outer = [abs(far - near) for far, near in
+                         ((far_left, left), (far_right, right))
+                         if not np.isnan(far)]
+                slope = max(outer or [left - mid, right - mid]) / step
+                if slope > 0:
+                    p_star = p + (left - right) / (2 * slope)
+                    g_star = max(0.5 * (left + right) - slope * step, 0.0)
             if g_star < crossing_tol:
-                crossings.append(Crossing(param=p_star, pair=(i, i + 1),
-                                          gap=g_star))
+                crossings.append(Crossing(param=float(p_star), pair=(i, i + 1),
+                                          gap=float(g_star)))
     crossings.sort(key=lambda c: (c.param, c.pair))
     return ScanResult(params=params, energies=energies,
                       crossings=crossings, failures=failures)

@@ -55,7 +55,7 @@ class TestConfig:
         doc = {
             "model": {"kind": "angular", "ell": 1.0, "shift": 0.1,
                       "lambda": 0.0},
-            "contour": {"npoints": 64, "halfwidth": 12.0},
+            "contour": {"npoints": 64},
             "tolerances": {"reality": 1e-6, "spurious_factor": 0.4,
                            "crossing": 1e-3, "match": 1e-3},
             "scan": {"lo": 0.5, "hi": 2.5, "steps": 11, "levels": 4},
@@ -81,6 +81,7 @@ class TestConfig:
         angular = RunConfig.from_dict({"model": {"kind": "angular"}})
         assert angular.model == {"kind": "angular", "ell": 1.0,
                                  "lambda": 0.0, "shift": 1.0}
+        assert angular.contour == {"npoints": 2000}
 
     def test_values_come_out_typed(self):
         cfg = RunConfig.from_dict({"contour": {"npoints": 64.0,
@@ -98,6 +99,8 @@ class TestConfig:
 def valid_value(section, key, default):
     """Values from_dict accepts for one numeric field."""
     if type(default) is float:
+        if key == "lo":                 # the lowest coupling of a scan
+            return st.floats(0.0, 1e6, exclude_min=True)
         return st.floats(0.0 if section == "tolerances" else -1e6, 1e6)
     lo = {"count": 1, "steps": 2, "levels": 2, "index": 0}.get(key)
     ints = (st.sampled_from([1, -1]) if key == "qparity"
@@ -112,7 +115,7 @@ def valid_docs(draw):
     kind = draw(st.sampled_from(sorted(MODEL_KEYS)))
     doc = {}
     for name, defaults in DEFAULTS.items():
-        keys = MODEL_KEYS[kind] if name == "model" else list(defaults)
+        keys = MODEL_KEYS[kind].get(name, list(defaults))
         body = {key: draw(valid_value(name, key, defaults[key]))
                 for key in keys if key != "kind" and draw(st.booleans())}
         if name == "model" and (kind != "ptho" or draw(st.booleans())):
@@ -122,7 +125,7 @@ def valid_docs(draw):
     scan = doc.get("scan", {})
     lo, hi = scan.get("lo", 0.5), scan.get("hi", 2.5)
     if lo >= hi:
-        scan["lo"], scan["hi"] = hi - 1.0, hi
+        scan["hi"] = lo + 1.0
     return doc
 
 
@@ -138,7 +141,7 @@ class TestConfigProperties:
     def test_one_bad_value_is_rejected(self, doc, data):
         kind = doc.get("model", {}).get("kind", "ptho")
         section = data.draw(st.sampled_from(sorted(DEFAULTS)))
-        keys = MODEL_KEYS[kind] if section == "model" else DEFAULTS[section]
+        keys = MODEL_KEYS[kind].get(section, DEFAULTS[section])
         key = data.draw(st.sampled_from(sorted(keys)))
         bad = [math.nan, math.inf, -math.inf, "2.5", True, False]
         if type(DEFAULTS[section][key]) is int:
@@ -216,6 +219,9 @@ class TestExitCodes:
         ("scan", dict(SMALL_PTHO, scan={"lo": 1.0, "hi": 1.0})),
         ("scan", dict(SMALL_PTHO, scan={"levels": 0})),
         ("scan", dict(SMALL_PTHO, scan={"steps": 1})),
+        ("scan", dict(SMALL_PTHO, scan={"lo": -1.0, "hi": 0.5, "steps": 3,
+                                        "levels": 2})),
+        ("scan", dict(SMALL_PTHO, scan={"lo": 0.0})),
         ("verify", dict(SMALL_PTHO, tolerances={"match": -1.0})),
         ("verify", dict(SMALL_PTHO, tolerances={"reality": -1e-9})),
         ("spectrum", dict(SMALL_PTHO, tolerances={"spurious_factor": -1.0})),
@@ -225,11 +231,15 @@ class TestExitCodes:
                           "contour": {"npoints": 64}}),
         ("wavefunction", {"model": {"kind": "angular", "alpha": 7.0},
                           "contour": {"npoints": 64}}),
+        ("wavefunction", {"model": {"kind": "angular"},
+                          "contour": {"halfwidth": -3.0}}),
         ("spectrum", {"model": {"kind": 1}}),
     ], ids=["lo-above-hi", "lo-equals-hi", "levels-0", "steps-1",
+            "lo-negative", "lo-zero",
             "match-negative", "reality-negative", "spurious-negative",
             "index-negative", "qparity-0", "ptho-with-ell",
-            "angular-with-alpha", "kind-not-a-string"])
+            "angular-with-alpha", "angular-with-halfwidth",
+            "kind-not-a-string"])
     def test_out_of_range_exits_2(self, tmp_path, capsys, command, doc):
         code, out = run([command, "--config", write_config(tmp_path, doc)],
                         capsys)

@@ -1,6 +1,7 @@
 """Dense eigensolve, classification, PT defect, matching, and scans."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,15 +156,37 @@ class TestMatchSpectra:
                              self.levels([1.0]), 2, tol=1e-3)
 
 
+def split_at_crossings(alpha):
+    """The closed-form ladders, except that at an integer coupling each
+    coincident pair becomes the conjugate pair E -+ 0.03j, as on the
+    discretized operator inside its exceptional-point window."""
+    values = ps.ptho_analytic_family()(alpha)
+    if abs(alpha - round(alpha)) < 1e-9:
+        twin = np.isclose(values[1:], values[:-1])
+        values[:-1][twin] -= 0.03j
+        values[1:][twin] += 0.03j
+    return values
+
+
 class TestScan:
     def test_analytic_crossings_at_integers(self):
-        scan = ps.scan_parameter(ps.ptho_analytic_family(), 0.5, 2.5,
-                                 41, 6, crossing_tol=1e-3)
-        found = ps.crossing_params(scan)
-        assert len(found) == 2
-        assert found[0] == pytest.approx(1.0, abs=1e-2)
-        assert found[1] == pytest.approx(2.0, abs=1e-2)
-        assert not scan.failures
+        # with the split ladders the gap sampled at alpha = 1 and 2 is
+        # 0.06, far above the apex of the V its neighbours span
+        for family in (ps.ptho_analytic_family(), split_at_crossings):
+            calls = []
+
+            def counted(p, family=family):
+                calls.append(p)
+                return family(p)
+
+            scan = ps.scan_parameter(counted, 0.5, 2.5, 41, 6,
+                                     crossing_tol=1e-3)
+            assert calls == list(scan.params)   # once per sweep point
+            found = ps.crossing_params(scan)
+            assert len(found) == 2
+            assert found[0] == pytest.approx(1.0, abs=1e-3)
+            assert found[1] == pytest.approx(2.0, abs=1e-3)
+            assert not scan.failures
 
     def test_crossings_within_one_step_merge(self):
         # raw crossings of a 41-step N=400 oscillator scan: level pairs
@@ -181,9 +204,19 @@ class TestScan:
         assert found[1] == pytest.approx(2.0, abs=2e-2)
 
     def test_constant_family_has_no_crossings(self):
-        scan = ps.scan_parameter(lambda p: np.arange(6, dtype=complex),
-                                 0.0, 1.0, 11, 6)
-        assert scan.crossings == []
+        # a flat gap, and one whose minimum lies one ulp below its
+        # neighbours: the flat arms give no slope, so no V is fitted
+        def dipped(p):
+            values = np.arange(6, dtype=complex)
+            if p == 0.5:
+                values[1] = np.nextafter(1.0, 0.0)
+            return values
+
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for family in (lambda p: np.arange(6, dtype=complex), dipped):
+                scan = ps.scan_parameter(family, 0.0, 1.0, 11, 6)
+                assert scan.crossings == []
 
     def test_too_few_steps(self):
         with pytest.raises(ValueError):
@@ -197,10 +230,7 @@ class TestScan:
 
         scan = ps.scan_parameter(family, 0.0, 1.0, 6, 6)
         assert sum(e is None for e in scan.energies) == 2
-        # both bad sweep points are recorded (refinement probes into the
-        # failing region may add more entries)
-        failed_params = {p for p, _ in scan.failures}
-        assert {0.8, 1.0} <= failed_params
+        assert scan.failures == [(0.8, "boom"), (1.0, "boom")]
         assert scan.crossings == []
 
     def test_insufficient_family_levels(self):
