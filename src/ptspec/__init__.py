@@ -8,19 +8,15 @@ independent finite-difference eigensolver on shifted complex contours
 
 from .contour import (Contour, build_hamiltonian, contour_for, grid_points,
                       periodic_contour, potential_value, straight_contour)
-from .eigen import (Crossing, MatchReport, ScanResult, SpectrumResult,
-                    classify_spectrum, crossing_params, eig_dense,
-                    match_spectra, pt_defect, ptho_analytic_family,
-                    ptho_numeric_family, scan_parameter, solve_spectrum)
-from .exceptions import (DomainError, InsufficientLevels, NonConvergence,
-                         SingularPoint, UnpairedComplexValue,
-                         UnsupportedModel)
+from .eigen import (Crossing, ScanResult, classify_spectrum,
+                    crossing_params, eig_dense, match_spectra, pt_defect,
+                    ptho_analytic_family, ptho_numeric_family,
+                    scan_parameter, solve_spectrum)
 from .models import (AnalyticLevel, AngularParams, HypergeomIndices,
                      PthoParams, angular_energy, angular_is_degenerate,
                      angular_wavefunction, hypergeom_indices,
                      hypergeom_solution, ptho_energy, ptho_levels,
                      ptho_wavefunction, termination_levels)
-from .specfun import (cpow, gegenbauer, gegenbauer_is_degenerate,
-                      gegenbauer_renormalized, hyp2f1, laguerre)
+from .specfun import cpow, gegenbauer, hyp2f1, laguerre
 
 __version__ = "0.1.0"

@@ -27,8 +27,7 @@ from .contour import (DEFAULT_HALFWIDTH, MAX_POINTS, contour_for,
 from .eigen import (DEFAULT_CROSSING_TOL, DEFAULT_REALITY_TOL,
                     DEFAULT_SPURIOUS_FACTOR, match_spectra,
                     ptho_numeric_family, scan_parameter, solve_spectrum)
-from .exceptions import (InsufficientLevels, NonConvergence,
-                         UnpairedComplexValue, UnsupportedModel)
+from .exceptions import InsufficientLevels, NonConvergence, UnsupportedModel
 from .models import (AngularParams, PthoParams, ptho_levels,
                      ptho_wavefunction, angular_wavefunction,
                      termination_levels)
@@ -324,7 +323,8 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         model, g = cfg.build()
-        # the eigensolver commands assemble a dense N x N operator
+        # the eigensolver commands assemble the dense real N x N form of
+        # the operator (8 N^2 bytes)
         if args.command != "wavefunction" and g.npoints > MAX_POINTS:
             raise ConfigError(f"contour.npoints {g.npoints} exceeds the "
                               f"dense-solver cap {MAX_POINTS}")
@@ -333,7 +333,7 @@ def main(argv=None):
     except (ConfigError, UnsupportedModel) as exc:
         print(f"ptspec: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonConvergence, UnpairedComplexValue, ValueError) as exc:
+    except (NonConvergence, ValueError) as exc:
         print(f"ptspec: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     payload = {"format_version": FORMAT_VERSION, "command": args.command,

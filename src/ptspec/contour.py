@@ -9,10 +9,20 @@ Two contour families are supported:
   midpoint grid so that index reversal j -> N-1-j is exactly the
   reflection t -> -t.
 
-The assembled operator is the central 3-point discretization of
+The operator is the central 3-point discretization H of
 -d^2/dt^2 + V(t - i shift).  For the oscillator model the constant c^2
 produced by completing the square is deliberately left out of V, so
 computed eigenvalues approximate E itself.
+
+On both grids V(-t) = conj(V(t)), so H is complex symmetric and
+J conj(H) J = H, with J the index reversal.  This PT symmetry makes H
+unitarily similar to a real matrix.  With
+S = (e^{i pi/4} I + e^{-i pi/4} J) / sqrt(2),
+
+    A = S* H S = tridiag(-1/h^2, 2/h^2 + Re V, -1/h^2) + antidiag(Im V),
+
+plus the periodic corners; row j of the antidiagonal holds Im V_j.
+build_hamiltonian assembles A from these O(N) entries and never forms H.
 """
 
 from dataclasses import dataclass
@@ -23,7 +33,7 @@ from .exceptions import SingularPoint
 from .models import AngularParams, PthoParams, require_finite
 
 MIN_POINTS = 16
-MAX_POINTS = 4096    # largest grid build_hamiltonian assembles (16 N^2 bytes)
+MAX_POINTS = 4096    # largest grid build_hamiltonian assembles (8 N^2 bytes)
 DEFAULT_HALFWIDTH = 12.0
 
 
@@ -119,26 +129,27 @@ def potential_value(model, t, shift=None):
 
 
 def build_hamiltonian(model, g: Contour):
-    """Assemble the dense 3-point finite-difference matrix of -d^2 + V on g.
-
-    Straight contours get Dirichlet truncation; periodic contours get
-    wrap-around corner entries.  The result satisfies the PT structure
-    H[i, j] = conj(H[N-1-j, N-1-i]) exactly.  Grids above MAX_POINTS are
-    rejected with ValueError before anything is allocated.
-    """
+    """The real form A of the 3-point operator on g (module docstring) as
+    a dense float64 N x N array in natural grid order.  A potential with
+    V[::-1] != conj(V), or a grid above MAX_POINTS, raises ValueError
+    before the matrix is allocated."""
     if g.npoints > MAX_POINTS:
         raise ValueError(f"npoints {g.npoints} exceeds the dense-solver "
                          f"cap {MAX_POINTS}")
-    t = grid_points(g)
     h = g.gridstep
-    v = potential_value(model, t, shift=g.shift)
+    v = potential_value(model, grid_points(g), shift=g.shift)
+    if not np.array_equal(v[::-1], np.conj(v)):
+        raise ValueError("potential is not PT-symmetric on the grid: "
+                         "V(-t) != conj(V(t))")
     n = g.npoints
-    m = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(m, 2.0 / h ** 2 + v)
-    idx = np.arange(n - 1)
-    m[idx, idx + 1] = -1.0 / h ** 2
-    m[idx + 1, idx] = -1.0 / h ** 2
+    idx = np.arange(n)
+    m = np.zeros((n, n))
+    m[idx, idx] = 2.0 / h ** 2 + v.real
+    m[idx[:-1], idx[1:]] = -1.0 / h ** 2
+    m[idx[1:], idx[:-1]] = -1.0 / h ** 2
     if g.kind == "periodic":
-        m[0, n - 1] = -1.0 / h ** 2
-        m[n - 1, 0] = -1.0 / h ** 2
+        m[0, n - 1] = m[n - 1, 0] = -1.0 / h ** 2
+    # the antidiagonal meets the diagonal (odd n, where Im V is 0), the
+    # off-diagonals (even n) and the periodic corners: add, don't assign
+    m[idx, idx[::-1]] += v.imag
     return m

@@ -1,9 +1,11 @@
 """Dense non-Hermitian spectra: solve, classify, verify, scan.
 
-The eigensolver itself delegates to LAPACK's balanced Hessenberg-QR
-driver (scipy.linalg.eig); everything around it -- reality/conjugate-pair
-classification, PT-defect of eigenvectors, matching against closed-form
-levels, and coupling scans that locate level crossings -- lives here.
+The eigensolver delegates to LAPACK's balanced Hessenberg-QR driver
+(scipy.linalg.eig) on the real form A = S* H S from build_hamiltonian, so
+every non-real eigenvalue comes with its exact conjugate and real ones
+have Im == 0; eigenvectors of H are v = S y.  Around it live reality/
+conjugate-pair classification, PT-defect of eigenvectors, matching
+against closed-form levels, and scans that locate level crossings.
 """
 
 from dataclasses import dataclass, field
@@ -12,8 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .contour import build_hamiltonian, contour_for
-from .exceptions import (InsufficientLevels, NonConvergence,
-                         UnpairedComplexValue)
+from .exceptions import InsufficientLevels, NonConvergence
 from .models import PthoParams
 
 REAL = "real"
@@ -24,9 +25,6 @@ DEFAULT_REALITY_TOL = 1e-7
 DEFAULT_SPURIOUS_FACTOR = 0.5
 DEFAULT_CROSSING_TOL = 1e-3
 BACKWARD_ERROR_TOL = 1e-10
-# maximum relative distance of a retained eigenvalue to the conjugate of
-# the multiset before the input is declared non-PT-structured
-PAIR_CLOSURE_TOL = 0.1
 
 
 @dataclass
@@ -51,11 +49,12 @@ def _sort_order(values):
 
 
 def eig_dense(m, want_vectors=False):
-    """Full spectrum of the dense matrix that build_hamiltonian returns.
+    """Full spectrum of a dense real or complex matrix, such as the real
+    form that build_hamiltonian returns.
 
     Eigenvalues come back sorted by real part (imaginary part breaks
     ties).  With want_vectors, eigenvectors are normalized to unit
-    Euclidean norm and the backward error ||Hv - Ev|| / ||H|| of every
+    Euclidean norm and the backward error ||Mv - Ev|| / ||M|| of every
     pair is verified against 1e-10.
     """
     try:
@@ -69,11 +68,13 @@ def eig_dense(m, want_vectors=False):
     order = _sort_order(values)
     values = values[order]
     if vectors is not None:
-        vectors = vectors[:, order]
-        vectors = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-        hnorm = np.linalg.norm(m, ord=1)
-        resid = np.linalg.norm(m @ vectors - vectors * values, axis=0) / hnorm
-        worst = float(resid.max())
+        # complex even when a real matrix has an all-real spectrum
+        vectors = vectors[:, order].astype(complex, copy=False)
+        vectors /= np.linalg.norm(vectors, axis=0)
+        resid = m @ vectors
+        resid -= vectors * values
+        worst = float(np.linalg.norm(resid, axis=0).max()
+                      / np.linalg.norm(m, ord=1))
         if worst > BACKWARD_ERROR_TOL:
             raise NonConvergence(
                 f"eigenpair backward error {worst:.3e} exceeds "
@@ -85,60 +86,29 @@ def classify_spectrum(values, reality_tol=DEFAULT_REALITY_TOL,
                       spurious_cut=np.inf):
     """Label each eigenvalue real / conjugate-pair / spurious.
 
-    A value is real when |Im| <= reality_tol * max(1, |Re|); values with
-    Re above spurious_cut are grid artifacts.  The input multiset must
-    be closed under conjugation up to PAIR_CLOSURE_TOL (relative): an
-    eigenvalue whose mirror image is missing altogether means the
-    operator was never PT-structured, and raises UnpairedComplexValue.
+    A value with Re above spurious_cut is a grid artifact; of the rest, a
+    value is real when |Im| <= reality_tol * max(1, |Re|), and one member
+    of a conjugate pair otherwise.  reality_tol only settles
+    near-degenerate levels that rounding splits into a narrow pair.
 
-    The remaining complex values are matched greedily into conjugate
-    pairs (nearest partner first) within 1000 * reality_tol (relative).
-    Leftovers exist because rounding on a strongly non-normal matrix
-    scatters partners by far more than machine epsilon: a leftover
-    within that distance of the axis is a rounding-perturbed real
-    eigenvalue and is demoted to real, one farther out is genuinely
-    complex and keeps the pair label (closure of the whole multiset was
-    already verified).
+    Spectra of the real form come with exact conjugates, so the pair
+    values must equal their own conjugates as a multiset.  If they do
+    not, the operator was never PT-structured, and ValueError is raised.
     """
     values = np.asarray(values, dtype=complex)
     values = values[_sort_order(values)]
-    scale = np.maximum(1.0, np.abs(values.real))
-    pair_dist = 1000.0 * reality_tol * scale
-    labels = [None] * len(values)
-    for i, v in enumerate(values):
-        if v.real > spurious_cut:
-            labels[i] = SPURIOUS
-        elif abs(v.imag) <= reality_tol * scale[i]:
-            labels[i] = REAL
-
-    retained = values[[lab != SPURIOUS for lab in labels]]
-    if len(retained):
-        closure = np.abs(retained[:, None] - np.conj(retained)[None, :])
-        defect = closure.min(axis=1) / np.maximum(1.0, np.abs(retained))
-        worst = int(np.argmax(defect))
-        if defect[worst] > PAIR_CLOSURE_TOL:
-            raise UnpairedComplexValue(
-                f"eigenvalue {retained[worst]} has no conjugate partner: "
-                f"closure defect {defect[worst]:.3e} exceeds "
-                f"{PAIR_CLOSURE_TOL}")
-
-    pending = [i for i, lab in enumerate(labels) if lab is None]
-    upper = [i for i in pending if values[i].imag > 0]
-    lower = set(i for i in pending if values[i].imag <= 0)
-    for i in upper:
-        best, best_d = None, np.inf
-        for j in lower:
-            d = abs(values[i] - np.conj(values[j]))
-            if d < best_d:
-                best, best_d = j, d
-        if best is not None and best_d <= pair_dist[i]:
-            labels[i] = labels[best] = PAIR
-            lower.remove(best)
-    for i in pending:
-        if labels[i] is None:
-            labels[i] = (REAL if abs(values[i].imag) <= pair_dist[i]
-                         else PAIR)
-    return SpectrumResult(eigenvalues=values, classifications=labels)
+    spurious = values.real > spurious_cut
+    real = ~spurious & (np.abs(values.imag)
+                        <= reality_tol * np.maximum(1.0, np.abs(values.real)))
+    pairs = values[~spurious & ~real]
+    mirror = np.conj(pairs)
+    unmatched = pairs != mirror[_sort_order(mirror)]
+    if np.any(unmatched):
+        raise ValueError(
+            f"{np.count_nonzero(unmatched)} non-real eigenvalues have no "
+            f"exact conjugate partner, first {pairs[unmatched][0]}")
+    labels = np.where(spurious, SPURIOUS, np.where(real, REAL, PAIR))
+    return SpectrumResult(eigenvalues=values, classifications=labels.tolist())
 
 
 def pt_defect(v):
@@ -169,7 +139,8 @@ def solve_spectrum(model, contour, want_vectors=False,
     """Assemble, diagonalize and classify in one call.
 
     spurious_factor sets the artifact cutoff at factor * 4/h^2, the top
-    of the 3-point stencil's dispersion range.
+    of the 3-point stencil's dispersion range.  Eigenvectors are those
+    of the complex operator H, not of its real form.
     """
     raw = eig_dense(build_hamiltonian(model, contour),
                     want_vectors=want_vectors)
@@ -177,10 +148,13 @@ def solve_spectrum(model, contour, want_vectors=False,
     result = classify_spectrum(raw.eigenvalues, reality_tol=reality_tol,
                                spurious_cut=cut)
     if want_vectors:
-        result.eigenvectors = raw.eigenvectors
+        # v = S y with S = ((1 + i) I + (1 - i) J) / 2; a real y (a real
+        # level) gives conj(v[::-1]) == v exactly
+        y = raw.eigenvectors
+        result.eigenvectors = (0.5 + 0.5j) * y + (0.5 - 0.5j) * y[::-1]
         result.pt_defects = np.array(
-            [pt_defect(raw.eigenvectors[:, i])
-             for i in range(raw.eigenvectors.shape[1])])
+            [pt_defect(result.eigenvectors[:, i])
+             for i in range(result.eigenvectors.shape[1])])
     return result
 
 
@@ -341,9 +315,8 @@ def ptho_numeric_family(c=1.0, npoints=600, halfwidth=10.0,
 
     Only the spurious cutoff is applied; no reality/pair classification.
     Inside the tiny exceptional-point window around a crossing the
-    colliding levels are complex, and at the crossing itself rounding
-    breaks their exact conjugate pairing, so classification would reject
-    precisely the points the scan is after.
+    colliding levels form a conjugate pair, so keeping only real levels
+    would drop precisely the points the scan is after.
     """
     def spectrum(alpha):
         model = PthoParams(alpha=alpha, c=c)

@@ -17,9 +17,5 @@ class SingularPoint(ValueError):
     """A contour point coincides with a singularity of the potential."""
 
 
-class UnpairedComplexValue(RuntimeError):
-    """A non-real eigenvalue has no complex-conjugate partner within tolerance."""
-
-
 class InsufficientLevels(ValueError):
     """Fewer real eigenvalues were retained than the comparison requires."""

@@ -7,7 +7,38 @@ import numpy as np
 import pytest
 
 import ptspec as ps
+import ptspec.contour
+from ptspec.cli import EXIT_SOLVER, main
 from ptspec.exceptions import SingularPoint
+
+
+def complex_stencil(model, g):
+    """The complex 3-point matrix H of -d^2 + V on g, built directly."""
+    n, h = g.npoints, g.gridstep
+    v = ps.potential_value(model, ps.grid_points(g), shift=g.shift)
+    m = np.diag(2.0 / h ** 2 + v)
+    m += np.diag(np.full(n - 1, -1.0 / h ** 2), 1)
+    m += np.diag(np.full(n - 1, -1.0 / h ** 2), -1)
+    if g.kind == "periodic":
+        m[0, n - 1] = m[n - 1, 0] = -1.0 / h ** 2
+    return m
+
+
+def similarity(n):
+    """S = (e^{i pi/4} I + e^{-i pi/4} J) / sqrt(2), J the reversal."""
+    eye = np.eye(n)
+    return (np.exp(0.25j * np.pi) * eye
+            + np.exp(-0.25j * np.pi) * eye[::-1]) / np.sqrt(2.0)
+
+
+def break_pt(monkeypatch):
+    """Make potential_value add a real odd term, which V(-t) = conj(V(t))
+    forbids."""
+    original = ptspec.contour.potential_value
+
+    def skewed(model, t, shift=None):
+        return original(model, t, shift) + 0.01 * np.asarray(t)
+    monkeypatch.setattr(ptspec.contour, "potential_value", skewed)
 
 
 class TestContourGeometry:
@@ -117,11 +148,69 @@ class TestHamiltonian:
         m = ps.build_hamiltonian(model, g)
         assert np.array_equal(m, np.conj(m[::-1, ::-1]).T)
 
-    def test_dense_square_complex(self):
+    def test_dense_square_real(self):
         g = ps.straight_contour(1.0, npoints=32, halfwidth=8.0)
         m = ps.build_hamiltonian(ps.PthoParams(0.5, 1.0), g)
-        assert m.shape == (32, 32) and m.dtype == complex
+        assert m.shape == (32, 32) and m.dtype == np.float64
         assert m[0, 1] == -1.0 / g.gridstep ** 2
+
+    @pytest.mark.parametrize("model,npoints", [
+        (ps.PthoParams(1.5, 1.0), 40),
+        (ps.PthoParams(1.5, 1.0), 41),
+        (ps.AngularParams(ell=1.0, eps=0.1), 40),
+        (ps.AngularParams(ell=1.0, eps=0.1), 41),
+    ])
+    def test_real_form_of_the_stencil(self, model, npoints):
+        # S A S* is the complex stencil.  A is the stencil's real part,
+        # which is symmetric and centrosymmetric, plus antidiag(Im V),
+        # which is skew because Im V is odd in t.  So A itself is real and
+        # persymmetric; it cannot be symmetric, as its spectrum has
+        # conjugate pairs
+        g = ps.contour_for(model, npoints=npoints, halfwidth=8.0)
+        a = ps.build_hamiltonian(model, g)
+        h = complex_stencil(model, g)
+        s = similarity(npoints)
+        assert a.dtype == np.float64
+        assert np.abs(s @ a @ s.conj().T - h).max() <= 1e-13 * np.abs(h).max()
+        skew = np.fliplr(np.diag(h.diagonal().imag))
+        assert np.array_equal(skew, -skew.T)
+        assert np.array_equal(h.real, h.real.T)
+        assert np.array_equal(h.real, h.real[::-1, ::-1])
+        assert np.array_equal(a, h.real + skew)
+        assert np.array_equal(a, a.T[::-1, ::-1])
+
+    def test_non_pt_potential_rejected_before_allocation(self, monkeypatch):
+        break_pt(monkeypatch)
+        g = ps.straight_contour(1.0, npoints=4000, halfwidth=8.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="PT"):
+                ps.build_hamiltonian(ps.PthoParams(1.5, 1.0), g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_non_pt_potential_exits_3(self, monkeypatch, tmp_path, capsys):
+        break_pt(monkeypatch)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"contour": {"npoints": 64}}')
+        assert main(["spectrum", "--config", str(cfg)]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == "" and "PT" in captured.err
+
+    def test_assembly_peak_memory_is_one_real_matrix(self):
+        # 8 N^2 bytes for A; the complex H would take twice that
+        n = 2000
+        g = ps.straight_contour(1.0, npoints=n, halfwidth=12.0)
+        tracemalloc.start()
+        try:
+            a = ps.build_hamiltonian(ps.PthoParams(1.5, 1.0), g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert a.nbytes == 8 * n * n
+        assert peak <= 8 * n * n + 256 * n
 
     def test_oversize_grid_rejected_before_allocation(self):
         # the dense 5000-point operator would take 400 MB

@@ -8,7 +8,9 @@ import pytest
 
 import ptspec as ps
 from ptspec.eigen import PAIR, REAL, SPURIOUS
-from ptspec.exceptions import InsufficientLevels, UnpairedComplexValue
+from ptspec.exceptions import InsufficientLevels
+
+from test_contour import complex_stencil
 
 
 def faddeev_leverrier(m):
@@ -61,42 +63,43 @@ class TestEigDense:
 
 class TestClassify:
     def test_labels(self):
-        values = [1.0, 2.0 + 1e-12j, 5 + 2j, 5 - 2j, 1e9]
+        # an exact conjugate pair is a pair however close to the axis;
+        # a spurious value needs no partner
+        values = [1.0, 2.0 + 1e-12j, 5 + 2j, 5 - 2j, 7 + 5e-6j, 7 - 5e-6j,
+                  1e9 + 1j]
         res = ps.classify_spectrum(values, reality_tol=1e-7,
                                    spurious_cut=1e6)
         assert sorted(res.classifications) == sorted(
-            [REAL, REAL, PAIR, PAIR, SPURIOUS])
+            [REAL, REAL, PAIR, PAIR, PAIR, PAIR, SPURIOUS])
         assert list(res.real_values()) == [1.0, 2.0]
 
     def test_unpaired_complex_raises(self):
-        with pytest.raises(UnpairedComplexValue):
+        with pytest.raises(ValueError, match="conjugate"):
             ps.classify_spectrum([1.0, 3.0 + 0.5j], reality_tol=1e-7)
 
-    def test_rounding_noise_demoted_to_real(self):
-        # an isolated value just off the axis is treated as a rounding-
-        # perturbed real eigenvalue, not an error
-        res = ps.classify_spectrum([1.0, 2.0 + 5e-6j], reality_tol=1e-7)
-        assert res.classifications == [REAL, REAL]
+    def test_lone_near_axis_value_raises(self):
+        # outside reality_tol and without its exact conjugate: the real
+        # form never produces such a value
+        with pytest.raises(ValueError, match="conjugate"):
+            ps.classify_spectrum([1.0, 2.0 + 5e-6j], reality_tol=1e-7)
 
     def test_pairing_respects_scale(self):
         # |Im| = 1e-5 on a level of size 200 is within 1e-7 relative
         res = ps.classify_spectrum([200.0 + 1e-5j], reality_tol=1e-7)
         assert res.classifications == [REAL]
 
-    def test_scattered_pair_still_pairs(self):
-        # both values are genuinely complex; rounding can scatter the
-        # conjugate partners of an ill-conditioned pair well beyond any
-        # fixed tolerance, so a loose match is still a pair
-        res = ps.classify_spectrum([50.0 + 2.0j, 51.5 - 2.1j],
-                                   reality_tol=1e-7)
-        assert res.classifications == [PAIR, PAIR]
+    def test_scattered_pair_raises(self):
+        # partners only roughly conjugate are not a pair
+        with pytest.raises(ValueError, match="conjugate"):
+            ps.classify_spectrum([50.0 + 2.0j, 51.5 - 2.1j],
+                                 reality_tol=1e-7)
 
-    def test_two_distant_noisy_values_stay_real(self):
-        # near-axis values at unrelated energies must not be forced
-        # into a bogus pair
-        res = ps.classify_spectrum([10.0 + 5e-6j, 20.0 - 5e-6j],
-                                   reality_tol=1e-7)
-        assert res.classifications == [REAL, REAL]
+    def test_two_distant_noisy_values_raise(self):
+        # near-axis values at unrelated energies are neither real nor a
+        # pair
+        with pytest.raises(ValueError, match="conjugate"):
+            ps.classify_spectrum([10.0 + 5e-6j, 20.0 - 5e-6j],
+                                 reality_tol=1e-7)
 
 
 class TestPtDefect:
@@ -239,17 +242,66 @@ class TestScan:
         assert len(scan.failures) == 5
 
 
+def conjugation_closed(values):
+    """The multiset equals its own conjugate, exactly."""
+    values = np.sort_complex(np.asarray(values))
+    return np.array_equal(values, np.sort_complex(np.conj(values)))
+
+
 class TestSpectrumSymmetry:
     def test_reverse_conjugate_invariance(self):
-        # the PT structure of the matrix makes the eigenvalue multiset
-        # closed under complex conjugation
+        # the PT structure of the operator makes the eigenvalue multiset
+        # closed under complex conjugation; the real form keeps it exact
         model = ps.PthoParams(1.5, 1.0)
         g = ps.contour_for(model, npoints=64, halfwidth=8.0)
         vals = ps.eig_dense(ps.build_hamiltonian(model, g)).eigenvalues
-        # nearest-neighbour multiset comparison: members of a conjugate
-        # pair have real parts equal only to rounding, so strict sorted
-        # comparison could swap them
-        # tolerance reflects eigenvalue conditioning of the non-normal
-        # matrix, not machine epsilon
-        dist = np.abs(vals[:, None] - np.conj(vals)[None, :]).min(axis=1)
-        assert dist.max() < 1e-8 * np.max(np.abs(vals))
+        assert conjugation_closed(vals)
+
+    def test_strong_shift_stays_conjugation_closed(self):
+        # at c = 1.6 the upper spectrum is rounding-dominated, yet every
+        # non-real value still has its exact conjugate
+        model = ps.PthoParams(1.5, 1.6)
+        g = ps.contour_for(model, npoints=400)
+        res = ps.solve_spectrum(model, g)
+        assert conjugation_closed(res.eigenvalues)
+        assert PAIR in res.classifications
+
+    @pytest.mark.parametrize("model", [ps.PthoParams(1.5, 1.0),
+                                       ps.AngularParams(ell=1.0, eps=0.1)])
+    def test_real_levels_are_exactly_real(self, model):
+        g = ps.contour_for(model, npoints=256)
+        res = ps.solve_spectrum(model, g)
+        real = res.eigenvalues[np.array(res.classifications) == REAL]
+        assert len(real) >= 7
+        assert np.all(real.imag == 0.0)
+
+    @pytest.mark.parametrize("npoints", [200, 201])
+    def test_eigenvectors_belong_to_the_complex_operator(self, npoints):
+        # vectors mapped back from the real form solve H v = E v, pairs
+        # and an odd grid's middle row included; the ground level
+        # (E ~ -1) is simple and real, and its vector is PT-symmetric
+        model = ps.PthoParams(1.5, 1.0)
+        g = ps.contour_for(model, npoints=npoints, halfwidth=10.0)
+        res = ps.solve_spectrum(model, g, want_vectors=True)
+        h = complex_stencil(model, g)
+        v, ev = res.eigenvectors, res.eigenvalues
+        backward = (np.linalg.norm(h @ v - v * ev, axis=0)
+                    / np.linalg.norm(h, ord=1))
+        assert backward.max() <= 1e-10
+        assert np.allclose(np.linalg.norm(v, axis=0), 1.0, rtol=1e-13)
+        assert PAIR in res.classifications
+        ground = int(np.argmin(np.abs(ev + 1.0)))
+        assert res.classifications[ground] == REAL
+        assert res.pt_defects[ground] <= 1e-12
+
+    def test_all_real_spectrum_gets_complex_vectors(self):
+        # ell = 0 leaves the free periodic operator, whose real form is
+        # symmetric: every eigenvalue and every LAPACK vector is real
+        model = ps.AngularParams(ell=0.0, eps=0.1)
+        g = ps.contour_for(model, npoints=16)
+        res = ps.solve_spectrum(model, g, want_vectors=True)
+        h = complex_stencil(model, g)
+        v = res.eigenvectors
+        assert np.all(res.eigenvalues.imag == 0.0)
+        assert v.dtype == complex
+        assert np.abs(h @ v - v * res.eigenvalues).max() <= 1e-12

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from ptspec import (cpow, gegenbauer, gegenbauer_is_degenerate,
-                    gegenbauer_renormalized, hyp2f1, laguerre)
 from ptspec.exceptions import DomainError
+from ptspec.specfun import (cpow, gegenbauer, gegenbauer_is_degenerate,
+                            gegenbauer_renormalized, hyp2f1, laguerre)
 
 
 def laguerre_sum(n, a, z):
