@@ -11,7 +11,7 @@ from .contour import (Contour, build_hamiltonian, contour_for, grid_points,
 from .eigen import (Crossing, ScanResult, classify_spectrum,
                     crossing_params, eig_dense, match_spectra, pt_defect,
                     ptho_analytic_family, ptho_numeric_family,
-                    scan_parameter, solve_spectrum)
+                    scan_parameter, solve_lowest, solve_spectrum)
 from .models import (AnalyticLevel, AngularParams, HypergeomIndices,
                      PthoParams, angular_energy, angular_is_degenerate,
                      angular_wavefunction, hypergeom_indices,

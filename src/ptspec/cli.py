@@ -14,6 +14,7 @@ unsupported model regime), 3 the numerics failed, 4 verification FAIL.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -26,7 +27,8 @@ from .contour import (DEFAULT_HALFWIDTH, MAX_POINTS, contour_for,
                       grid_points)
 from .eigen import (DEFAULT_CROSSING_TOL, DEFAULT_REALITY_TOL,
                     DEFAULT_SPURIOUS_FACTOR, match_spectra,
-                    ptho_numeric_family, scan_parameter, solve_spectrum)
+                    ptho_numeric_family, scan_parameter, solve_lowest,
+                    solve_spectrum)
 from .exceptions import InsufficientLevels, NonConvergence, UnsupportedModel
 from .models import (AngularParams, PthoParams, ptho_levels,
                      ptho_wavefunction, angular_wavefunction,
@@ -187,24 +189,22 @@ def load_config(path):
 
 
 def _render(payload, columns, rows, comments, out, outfmt):
-    """Write one result table as CSV (with # comment trailer) or JSON."""
-    if outfmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(fmt(x) if not isinstance(x, str) else x
-                                  for x in row))
-        lines.extend(comments)
-        text = "\n".join(lines) + "\n"
-    else:
-        payload["columns"] = columns
-        payload["rows"] = [[fnum(x) if not isinstance(x, str) else x
-                            for x in row] for row in rows]
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write one result table as CSV (with # comment trailer) or JSON.
+    The JSON is streamed to the file or stdout, not built as one string."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        if outfmt == "csv":
+            lines = [",".join(columns)]
+            for row in rows:
+                lines.append(",".join(fmt(x) if not isinstance(x, str) else x
+                                      for x in row))
+            lines.extend(comments)
+            fh.write("\n".join(lines) + "\n")
+        else:
+            payload["columns"] = columns
+            payload["rows"] = [[fnum(x) if not isinstance(x, str) else x
+                                for x in row] for row in rows]
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _analytic_levels(model, count):
@@ -233,8 +233,8 @@ def cmd_verify(cfg, model, g):
     tol = cfg.tolerances
     count = cfg.verify["count"]
     levels = _analytic_levels(model, count)
-    result = solve_spectrum(model, g, reality_tol=tol["reality"],
-                            spurious_factor=tol["spurious_factor"])
+    result = solve_lowest(model, g, count, reality_tol=tol["reality"],
+                          spurious_factor=tol["spurious_factor"])
     comments = []
     try:
         report = match_spectra(result, levels, count, tol=tol["match"])
@@ -323,8 +323,9 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         model, g = cfg.build()
-        # the eigensolver commands assemble the dense real N x N form of
-        # the operator (8 N^2 bytes)
+        # spectrum and scan assemble the dense real N x N form of the
+        # operator (8 N^2 bytes); verify falls back to it when its
+        # window solve is not certified
         if args.command != "wavefunction" and g.npoints > MAX_POINTS:
             raise ConfigError(f"contour.npoints {g.npoints} exceeds the "
                               f"dense-solver cap {MAX_POINTS}")

@@ -22,18 +22,20 @@ S = (e^{i pi/4} I + e^{-i pi/4} J) / sqrt(2),
     A = S* H S = tridiag(-1/h^2, 2/h^2 + Re V, -1/h^2) + antidiag(Im V),
 
 plus the periodic corners; row j of the antidiagonal holds Im V_j.
-build_hamiltonian assembles A from these O(N) entries and never forms H.
+real_form assembles A from these O(N) entries as a sparse matrix, and
+build_hamiltonian returns its dense image; the complex H is never formed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .exceptions import SingularPoint
 from .models import AngularParams, PthoParams, require_finite
 
 MIN_POINTS = 16
-MAX_POINTS = 4096    # largest grid build_hamiltonian assembles (8 N^2 bytes)
+MAX_POINTS = 4096    # largest grid real_form assembles (dense A: 8 N^2 bytes)
 DEFAULT_HALFWIDTH = 12.0
 
 
@@ -128,11 +130,12 @@ def potential_value(model, t, shift=None):
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
-def build_hamiltonian(model, g: Contour):
+def real_form(model, g: Contour):
     """The real form A of the 3-point operator on g (module docstring) as
-    a dense float64 N x N array in natural grid order.  A potential with
-    V[::-1] != conj(V), or a grid above MAX_POINTS, raises ValueError
-    before the matrix is allocated."""
+    a scipy.sparse COO array of its O(N) entries in natural grid order;
+    entries that meet at one position are summed on conversion.  A
+    potential with V[::-1] != conj(V), or a grid above MAX_POINTS, raises
+    ValueError."""
     if g.npoints > MAX_POINTS:
         raise ValueError(f"npoints {g.npoints} exceeds the dense-solver "
                          f"cap {MAX_POINTS}")
@@ -143,13 +146,24 @@ def build_hamiltonian(model, g: Contour):
                          "V(-t) != conj(V(t))")
     n = g.npoints
     idx = np.arange(n)
-    m = np.zeros((n, n))
-    m[idx, idx] = 2.0 / h ** 2 + v.real
-    m[idx[:-1], idx[1:]] = -1.0 / h ** 2
-    m[idx[1:], idx[:-1]] = -1.0 / h ** 2
+    off = np.full(n - 1, -1.0 / h ** 2)
+    rows = [idx, idx[:-1], idx[1:], idx]
+    cols = [idx, idx[1:], idx[:-1], idx[::-1]]
+    data = [2.0 / h ** 2 + v.real, off, off, v.imag]
     if g.kind == "periodic":
-        m[0, n - 1] = m[n - 1, 0] = -1.0 / h ** 2
+        rows.append([0, n - 1])
+        cols.append([n - 1, 0])
+        data.append(off[:2])
     # the antidiagonal meets the diagonal (odd n, where Im V is 0), the
-    # off-diagonals (even n) and the periodic corners: add, don't assign
-    m[idx, idx[::-1]] += v.imag
-    return m
+    # off-diagonals (even n) and the periodic corners; at most two
+    # entries share a position, so the sum does not depend on their order
+    return scipy.sparse.coo_array(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n))
+
+
+def build_hamiltonian(model, g: Contour):
+    """The real form A as a dense float64 N x N array: the dense image of
+    real_form, which checks the PT structure and the MAX_POINTS cap
+    before the matrix is allocated."""
+    return real_form(model, g).toarray()

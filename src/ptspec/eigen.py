@@ -1,19 +1,25 @@
-"""Dense non-Hermitian spectra: solve, classify, verify, scan.
+"""Non-Hermitian spectra: solve, classify, verify, scan.
 
-The eigensolver delegates to LAPACK's balanced Hessenberg-QR driver
-(scipy.linalg.eig) on the real form A = S* H S from build_hamiltonian, so
-every non-real eigenvalue comes with its exact conjugate and real ones
-have Im == 0; eigenvectors of H are v = S y.  Around it live reality/
-conjugate-pair classification, PT-defect of eigenvectors, matching
-against closed-form levels, and scans that locate level crossings.
+The full spectrum comes from LAPACK's balanced Hessenberg-QR solver
+(scipy.linalg.eig) on the dense real form A = S* H S from
+build_hamiltonian, so every non-real eigenvalue comes with its exact
+conjugate and real ones have Im == 0; eigenvectors of H are v = S y.
+The lowest levels alone come from solve_lowest: ARPACK shift-invert on
+the sparse A, accepted only when a disc guard and a determinant-parity
+guard certify the window, with the dense solve as fallback.  Around them
+live reality/conjugate-pair classification, PT-defect of eigenvectors,
+matching against closed-form levels, and scans that locate level
+crossings.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
-from .contour import build_hamiltonian, contour_for
+from .contour import build_hamiltonian, contour_for, real_form
 from .exceptions import InsufficientLevels, NonConvergence
 from .models import PthoParams
 
@@ -55,31 +61,46 @@ def eig_dense(m, want_vectors=False):
     Eigenvalues come back sorted by real part (imaginary part breaks
     ties).  With want_vectors, eigenvectors are normalized to unit
     Euclidean norm and the backward error ||Mv - Ev|| / ||M|| of every
-    pair is verified against 1e-10.
+    pair is verified against 1e-10.  The vectors are sorted and checked
+    in column blocks, so besides LAPACK's output only one more N x N
+    array is allocated.
     """
+    if want_vectors:
+        scale = np.linalg.norm(m, ord=1)    # before LAPACK's copies exist
     try:
         if want_vectors:
-            values, vectors = scipy.linalg.eig(m, check_finite=False)
+            values, raw = scipy.linalg.eig(m, check_finite=False)
         else:
             values = scipy.linalg.eigvals(m, check_finite=False)
-            vectors = None
     except scipy.linalg.LinAlgError as exc:   # QR iteration failed to deflate
         raise NonConvergence(str(exc)) from exc
     order = _sort_order(values)
     values = values[order]
-    if vectors is not None:
-        # complex even when a real matrix has an all-real spectrum
-        vectors = vectors[:, order].astype(complex, copy=False)
-        vectors /= np.linalg.norm(vectors, axis=0)
-        resid = m @ vectors
-        resid -= vectors * values
-        worst = float(np.linalg.norm(resid, axis=0).max()
-                      / np.linalg.norm(m, ord=1))
-        if worst > BACKWARD_ERROR_TOL:
-            raise NonConvergence(
-                f"eigenpair backward error {worst:.3e} exceeds "
-                f"{BACKWARD_ERROR_TOL:.0e}")
+    if not want_vectors:
+        return SpectrumResult(eigenvalues=values)
+    # complex even when a real matrix has an all-real spectrum; columns
+    # contiguous, as LAPACK returns them
+    vectors = np.empty(raw.shape, dtype=complex, order="F")
+    worst = 0.0
+    for cols in _column_blocks(len(values)):
+        y = raw[:, order[cols]]
+        y /= np.linalg.norm(y, axis=0)
+        # a real m stays real: no complex copy of it is made
+        resid = m @ y.real + 1j * (m @ y.imag) if np.isrealobj(m) else m @ y
+        resid -= y * values[cols]
+        worst = max(worst, float(np.linalg.norm(resid, axis=0).max()))
+        vectors[:, cols] = y
+    worst /= scale
+    if worst > BACKWARD_ERROR_TOL:
+        raise NonConvergence(
+            f"eigenpair backward error {worst:.3e} exceeds "
+            f"{BACKWARD_ERROR_TOL:.0e}")
     return SpectrumResult(eigenvalues=values, eigenvectors=vectors)
+
+
+def _column_blocks(n, size=64):
+    """Slices that cover range(n) in blocks of `size` columns."""
+    return [slice(j, min(j + size, n)) for j in range(0, n, size)]
 
 
 def classify_spectrum(values, reality_tol=DEFAULT_REALITY_TOL,
@@ -150,12 +171,116 @@ def solve_spectrum(model, contour, want_vectors=False,
     if want_vectors:
         # v = S y with S = ((1 + i) I + (1 - i) J) / 2; a real y (a real
         # level) gives conj(v[::-1]) == v exactly
-        y = raw.eigenvectors
-        result.eigenvectors = (0.5 + 0.5j) * y + (0.5 - 0.5j) * y[::-1]
-        result.pt_defects = np.array(
-            [pt_defect(result.eigenvectors[:, i])
-             for i in range(result.eigenvectors.shape[1])])
+        y, raw.eigenvectors = raw.eigenvectors, None
+        v = np.empty_like(y)
+        for cols in _column_blocks(y.shape[1]):
+            v[:, cols] = ((0.5 + 0.5j) * y[:, cols]
+                          + (0.5 - 0.5j) * y[::-1, cols])
+        del y                   # freed before the PT defects are computed
+        result.eigenvectors = v
+        result.pt_defects = np.array([pt_defect(v[:, i])
+                                      for i in range(v.shape[1])])
     return result
+
+
+def solve_lowest(model, contour, count, reality_tol=DEFAULT_REALITY_TOL,
+                 spurious_factor=DEFAULT_SPURIOUS_FACTOR):
+    """The lowest `count` real levels from a certified shift-invert window.
+
+    ARPACK finds the k eigenvalues of the sparse real form A nearest to
+    sigma = min(Re V) - 1.  The symmetric part of A is -D2 + diag(Re V)
+    and its antidiagonal part is skew, so by Bendixson's theorem every
+    eigenvalue has Re > sigma.  The window is accepted only when
+
+    * disc guard: with r the largest |lambda - sigma| returned, the
+      values strictly inside the disc classify cleanly, and the
+      count-th real level among them, `top`, has top - sigma < r;
+    * parity guard: the sign of det(A - xI), from a sparse LU, equals
+      (-1)^(number of exactly real window values below x), where x is
+      the midpoint of the first gap above `top` wider than
+      1e-3 max(1, |top|).  A real matrix has this sign exactly, so an
+      odd number of missed real levels below x cannot pass.
+
+    Otherwise, or when ARPACK fails to converge, k is doubled; once k
+    would reach N/2 the dense solve_spectrum answers instead.  The
+    result holds the classified window values (all values, if dense).
+    """
+    a = real_form(model, contour).tocsc()
+    n = a.shape[0]
+    # diag(A) = 2/h^2 + Re V; sigma needs to be a strict lower bound only
+    sigma = a.diagonal().min() - 2.0 / contour.gridstep ** 2 - 1.0
+    cut = _spurious_cut(contour, spurious_factor)
+    k = 2 * count + 2
+    while 2 * k < n:
+        try:
+            # fixed start vector: the same window on every run
+            values = scipy.sparse.linalg.eigs(
+                a, k, sigma=sigma, v0=np.ones(n),
+                return_eigenvectors=False)
+        except scipy.sparse.linalg.ArpackError:    # no convergence, mostly
+            pass
+        else:
+            result = _certify_window(a, values, sigma, count, reality_tol,
+                                     cut)
+            if result is not None:
+                return result
+        k *= 2
+    return solve_spectrum(model, contour, reality_tol=reality_tol,
+                          spurious_factor=spurious_factor)
+
+
+def _certify_window(a, values, sigma, count, reality_tol, cut):
+    """The classified window, or None when a guard of solve_lowest fails."""
+    dist = np.abs(values - sigma)
+    inside = values[dist < dist.max()]
+    try:
+        result = classify_spectrum(inside, reality_tol=reality_tol,
+                                   spurious_cut=cut)
+    except ValueError:
+        return None
+    # every value left lies strictly inside the disc, so top - sigma < r
+    # holds once there are `count` real levels
+    real = result.real_values()[:count]
+    if len(real) < count:
+        return None
+    top = real[-1]
+    above = np.sort(inside.real[inside.real >= top])
+    wide = np.flatnonzero(np.diff(above) > 1e-3 * max(1.0, abs(top)))
+    if len(wide) == 0:
+        return None
+    x = 0.5 * (above[wide[0]] + above[wide[0] + 1])
+    below = np.count_nonzero((inside.imag == 0) & (inside.real < x))
+    return result if _det_sign(a, x) == (-1) ** below else None
+
+
+def _det_sign(a, x):
+    """Sign of det(A - xI) from a sparse LU: Pr (A - xI) Pc = L U with a
+    unit-diagonal L, so the sign is that of prod(diag U) times the
+    parities of the two permutations.  0 for a singular matrix."""
+    try:
+        lu = scipy.sparse.linalg.splu(
+            a - x * scipy.sparse.identity(a.shape[0], format="csc"))
+    except RuntimeError:                # exactly singular
+        return 0
+    flips = np.count_nonzero(lu.U.diagonal() < 0)
+    for perm in (lu.perm_r, lu.perm_c):
+        flips += len(perm) - _cycle_count(perm)
+    return -1 if flips % 2 else 1
+
+
+def _cycle_count(perm):
+    """Number of cycles of a permutation of range(len(perm))."""
+    perm = perm.tolist()                # Python ints: a faster walk
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return cycles
 
 
 @dataclass

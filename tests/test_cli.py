@@ -1,6 +1,7 @@
 """Command-line interface: determinism, format parity, exit codes,
 configuration handling."""
 
+import copy
 import json
 import math
 
@@ -337,6 +338,80 @@ class TestVerifyCommand:
         code, out = run(["verify", "--config", cfg], capsys)
         assert code == EXIT_OK
         assert "# PASS" in out
+
+
+class TestVerifyWindow:
+    def test_default_config_passes_reproducibly(self, tmp_path, capsys):
+        # the default run (oscillator, N=2000) is a certified window solve
+        cfg = write_config(tmp_path, {})
+        code1, out1 = run(["verify", "--config", cfg], capsys)
+        code2, out2 = run(["verify", "--config", cfg], capsys)
+        assert code1 == code2 == EXIT_OK
+        assert out1 == out2 and "# PASS" in out1
+
+    @pytest.mark.parametrize("ell,reality,expected", [
+        (1.0, 1e-4, EXIT_OK), (2.0, 1e-4, EXIT_OK),
+        (1.0, 1e-7, EXIT_OK), (2.0, 1e-7, EXIT_VERIFY_FAIL)])
+    def test_angular_exit_codes(self, tmp_path, capsys, ell, reality,
+                                expected):
+        # at the default reality tolerance the ell = 2 doublet at E = 1
+        # is split into a narrow conjugate pair, as in the dense solve
+        cfg = write_config(tmp_path, {
+            "model": {"kind": "angular", "ell": ell, "shift": 0.1},
+            "contour": {"npoints": 512},
+            "tolerances": {"match": 5e-3, "reality": reality}})
+        code, out = run(["verify", "--config", cfg], capsys)
+        assert code == expected
+        assert ("# PASS" in out) == (expected == EXIT_OK)
+
+
+def text_rendering(payload, columns, rows, comments, outfmt):
+    """The whole output text, built in memory and written at once."""
+    if outfmt == "csv":
+        lines = [",".join(columns)]
+        for row in rows:
+            lines.append(",".join(fmt(x) if not isinstance(x, str) else x
+                                  for x in row))
+        lines.extend(comments)
+        return "\n".join(lines) + "\n"
+    payload["columns"] = columns
+    payload["rows"] = [[fnum(x) if not isinstance(x, str) else x
+                        for x in row] for row in rows]
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestRendering:
+    @pytest.mark.parametrize("command,doc", [
+        ("wavefunction", {"model": {"kind": "ptho", "alpha": 1.3,
+                                    "shift": 1.0},
+                          "contour": {"npoints": 2001, "halfwidth": 8.0},
+                          "wavefunction": {"index": 2, "qparity": -1}}),
+        ("scan", {"model": {"kind": "ptho", "alpha": 1.5, "shift": 0.8},
+                  "contour": {"npoints": 100, "halfwidth": 8.0},
+                  "scan": {"lo": 0.55, "hi": 2.45, "steps": 5,
+                           "levels": 4}}),
+    ])
+    @pytest.mark.parametrize("outfmt", ["csv", "json"])
+    def test_streamed_output_matches_text_rendering(
+            self, tmp_path, capsys, monkeypatch, command, doc, outfmt):
+        expected = []
+        streamed = ptspec.cli._render
+
+        def render(payload, columns, rows, comments, out, fmt_):
+            expected.append(text_rendering(copy.deepcopy(payload), columns,
+                                           rows, comments, fmt_))
+            streamed(payload, columns, rows, comments, out, fmt_)
+        monkeypatch.setattr(ptspec.cli, "_render", render)
+        cfg = write_config(tmp_path, doc)
+        out_file = tmp_path / "out.txt"
+        code, out = run([command, "--config", cfg, "--format", outfmt],
+                        capsys)
+        assert code == EXIT_OK
+        assert main([command, "--config", cfg, "--format", outfmt,
+                     "--out", str(out_file)]) == EXIT_OK
+        assert expected[0] == expected[1]
+        assert out == expected[0]
+        assert out_file.read_bytes() == expected[0].encode()
 
 
 class TestWavefunctionCommand:

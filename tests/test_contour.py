@@ -180,16 +180,19 @@ class TestHamiltonian:
         assert np.array_equal(a, a.T[::-1, ::-1])
 
     def test_non_pt_potential_rejected_before_allocation(self, monkeypatch):
+        # the dense assembly and the sparse window solve both check first
         break_pt(monkeypatch)
         g = ps.straight_contour(1.0, npoints=4000, halfwidth=8.0)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="PT"):
-                ps.build_hamiltonian(ps.PthoParams(1.5, 1.0), g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+        for solve in (ps.build_hamiltonian,
+                      lambda model, g: ps.solve_lowest(model, g, 8)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="PT"):
+                    solve(ps.PthoParams(1.5, 1.0), g)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
 
     def test_non_pt_potential_exits_3(self, monkeypatch, tmp_path, capsys):
         break_pt(monkeypatch)
@@ -213,16 +216,19 @@ class TestHamiltonian:
         assert peak <= 8 * n * n + 256 * n
 
     def test_oversize_grid_rejected_before_allocation(self):
-        # the dense 5000-point operator would take 400 MB
+        # the dense 5000-point operator would take 200 MB; the window
+        # solve, whose fallback is dense, has the same cap
         g = ps.straight_contour(1.0, npoints=5000, halfwidth=8.0)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError):
-                ps.build_hamiltonian(ps.PthoParams(1.5, 1.0), g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+        for solve in (ps.build_hamiltonian,
+                      lambda model, g: ps.solve_lowest(model, g, 8)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="cap"):
+                    solve(ps.PthoParams(1.5, 1.0), g)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
 
     def test_free_periodic_matches_circulant_spectrum(self):
         # ell = 0 removes the potential entirely: the matrix is the

@@ -1,13 +1,17 @@
 """Dense eigensolve, classification, PT defect, matching, and scans."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import ptspec as ps
-from ptspec.eigen import PAIR, REAL, SPURIOUS
+from ptspec.cli import _analytic_levels
+from ptspec.contour import real_form
+from ptspec.eigen import PAIR, REAL, SPURIOUS, _det_sign
 from ptspec.exceptions import InsufficientLevels
 
 from test_contour import complex_stencil
@@ -294,6 +298,22 @@ class TestSpectrumSymmetry:
         assert res.classifications[ground] == REAL
         assert res.pt_defects[ground] <= 1e-12
 
+    def test_vectors_peak_memory(self):
+        # A (8 N^2 bytes) and LAPACK's copy, real and complex vectors are
+        # unavoidable; the sort, check and S-map work in column blocks,
+        # and the real A is never cast to complex
+        n = 800
+        model = ps.PthoParams(1.5, 1.0)
+        g = ps.contour_for(model, npoints=n)
+        tracemalloc.start()
+        try:
+            res = ps.solve_spectrum(model, g, want_vectors=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.eigenvectors.shape == (n, n)
+        assert peak <= 48 * n * n
+
     def test_all_real_spectrum_gets_complex_vectors(self):
         # ell = 0 leaves the free periodic operator, whose real form is
         # symmetric: every eigenvalue and every LAPACK vector is real
@@ -305,3 +325,153 @@ class TestSpectrumSymmetry:
         assert np.all(res.eigenvalues.imag == 0.0)
         assert v.dtype == complex
         assert np.abs(h @ v - v * res.eigenvalues).max() <= 1e-12
+
+
+class TestSolveLowest:
+    """The certified shift-invert window against the dense oracle."""
+
+    @pytest.mark.parametrize("model,npoints,reality_tol", [
+        (ps.PthoParams(1.5, 1.0), 400, 1e-7),
+        (ps.PthoParams(0.35, 1.7), 401, 1e-7),
+        (ps.PthoParams(2.55, 0.6), 600, 1e-7),
+        (ps.PthoParams(0.5, 0.0), 300, 1e-7),     # real symmetric form
+        (ps.AngularParams(ell=1.0, eps=0.1), 512, 1e-4),
+        (ps.AngularParams(ell=2.0, eps=0.15), 301, 1e-4),
+        (ps.AngularParams(ell=0.0, eps=0.1), 256, 1e-7),
+    ])
+    def test_window_matches_dense(self, model, npoints, reality_tol):
+        # simple levels agree to 1e-8; the members of a near-double are
+        # split by rounding, by ~1e-5, differently in each solver
+        count = 8
+        g = ps.contour_for(model, npoints=npoints)
+        win = ps.solve_lowest(model, g, count, reality_tol=reality_tol)
+        dense = ps.solve_spectrum(model, g, reality_tol=reality_tol)
+        assert len(win.eigenvalues) < npoints        # no dense fallback
+        lw, ld = win.real_values()[:count], dense.real_values()[:count]
+        assert len(lw) == len(ld) == count
+        scale = np.maximum(1.0, np.abs(ld))
+        # a level is simple when no other dense eigenvalue lies within
+        # 1e-3 relative of it
+        others = np.abs(dense.eigenvalues[None, :] - ld[:, None])
+        simple = np.sort(others, axis=1)[:, 1] > 1e-3 * scale
+        assert simple.any()
+        assert np.all(np.abs(lw - ld)[simple] <= 1e-8 * scale[simple])
+        assert np.all(np.abs(lw - ld) <= 1e-4 * scale)
+        levels = _analytic_levels(model, count)
+        for tol in (1e-3, 1e-2):
+            assert (ps.match_spectra(win, levels, count, tol).passed
+                    == ps.match_spectra(dense, levels, count, tol).passed)
+
+    def test_crossing_doubles_k(self, monkeypatch):
+        # at alpha = 1 every double level is a narrow conjugate pair, so
+        # 18 values hold too few real levels; the real levels found lie
+        # high up, where both solvers resolve them to about 1e-6
+        model = ps.PthoParams(1.0, 1.0)
+        g = ps.contour_for(model, npoints=300)
+        calls = self.patch_eigs(monkeypatch, lambda values, k: values)
+        win = ps.solve_lowest(model, g, 8)
+        dense = ps.solve_spectrum(model, g)
+        assert calls[0] == 18 and len(calls) > 1
+        assert len(win.eigenvalues) < 300
+        assert win.real_values()[:8] == pytest.approx(
+            dense.real_values()[:8], rel=1e-5)
+        levels = _analytic_levels(model, 8)
+        assert (ps.match_spectra(win, levels, 8, 1e-3).passed
+                == ps.match_spectra(dense, levels, 8, 1e-3).passed)
+
+    @pytest.mark.parametrize("model", [ps.PthoParams(1.5, 1.0),
+                                       ps.AngularParams(ell=1.0, eps=0.1)])
+    def test_det_sign_matches_dense_determinant(self, model):
+        g = ps.contour_for(model, npoints=41)
+        a = real_form(model, g).tocsc()
+        dense = a.toarray()
+        for x in (-5.0, 0.5, 2.0, 4.0, 10.0, 30.0):
+            sign, _ = np.linalg.slogdet(dense - x * np.eye(41))
+            assert _det_sign(a, x) == sign
+
+    def test_deterministic(self):
+        model = ps.AngularParams(ell=2.0, eps=0.12)
+        g = ps.contour_for(model, npoints=300)
+        first = ps.solve_lowest(model, g, 8, reality_tol=1e-4)
+        second = ps.solve_lowest(model, g, 8, reality_tol=1e-4)
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        assert first.classifications == second.classifications
+
+    @staticmethod
+    def patch_eigs(monkeypatch, change):
+        """Route ARPACK's answer through change(values, k) and record the
+        k of every call."""
+        original = scipy.sparse.linalg.eigs
+        calls = []
+
+        def eigs(a, k, **kwargs):
+            calls.append(k)
+            return change(original(a, k, **kwargs), k)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", eigs)
+        return calls
+
+    def setup_ptho(self, npoints=300):
+        model = ps.PthoParams(1.5, 1.0)
+        return model, ps.contour_for(model, npoints=npoints)
+
+    def test_missed_real_level_falls_back_to_dense(self, monkeypatch):
+        # the third-lowest level lies well inside the disc, so only the
+        # parity guard can see that it is missing
+        def drop_third(values, k):
+            return np.delete(values, np.argsort(values.real)[2])
+        model, g = self.setup_ptho()
+        calls = self.patch_eigs(monkeypatch, drop_third)
+        win = ps.solve_lowest(model, g, 8)
+        dense = ps.solve_spectrum(model, g)
+        assert calls == [18, 36, 72, 144]          # while 2k < N
+        assert np.array_equal(win.eigenvalues, dense.eigenvalues)
+        assert win.classifications == dense.classifications
+
+    def test_no_convergence_falls_back_to_dense(self, monkeypatch):
+        def fail(values, k):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "no convergence", values, None)
+        model, g = self.setup_ptho()
+        calls = self.patch_eigs(monkeypatch, fail)
+        win = ps.solve_lowest(model, g, 8)
+        assert calls == [18, 36, 72, 144]
+        assert np.array_equal(win.eigenvalues,
+                              ps.solve_spectrum(model, g).eigenvalues)
+
+    def test_short_window_doubles_k(self, monkeypatch):
+        # a first answer that reaches only 6 levels is too short for 8
+        def short_first(values, k):
+            return values[np.argsort(values.real)[:6]] if k == 18 else values
+        model, g = self.setup_ptho()
+        calls = self.patch_eigs(monkeypatch, short_first)
+        win = ps.solve_lowest(model, g, 8)
+        assert calls == [18, 36]
+        assert len(win.eigenvalues) == 35
+        assert win.real_values()[:8] == pytest.approx(
+            ps.solve_spectrum(model, g).real_values()[:8], rel=1e-8)
+
+    def test_partner_cut_at_the_edge_is_dropped(self, monkeypatch):
+        # a lone non-real value at the largest distance is the half of a
+        # conjugate pair that the window split; it is dropped, and the
+        # window is still accepted
+        def split_pair(values, k):
+            far = np.abs(values - values.real.min()).max()
+            return np.append(values, values.real.min() + 2 * far + 3j)
+        model, g = self.setup_ptho()
+        calls = self.patch_eigs(monkeypatch, split_pair)
+        win = ps.solve_lowest(model, g, 8)
+        assert calls == [18]
+        assert win.real_values()[:8] == pytest.approx(
+            ps.solve_spectrum(model, g).real_values()[:8], rel=1e-8)
+
+    @pytest.mark.parametrize("npoints,count,factor", [
+        (40, 20, 0.5), (41, 30, 0.5), (200, 8, 0.05)])
+    def test_too_many_levels_match_dense(self, npoints, count, factor):
+        # count >= N/2 goes straight to the dense solve; at N=200 with a
+        # spurious cut of 0.2/h^2 only 7 real levels remain, so no window
+        # certifies 8 and the dense answer reports what exists
+        model, g = self.setup_ptho(npoints)
+        win = ps.solve_lowest(model, g, count, spurious_factor=factor)
+        dense = ps.solve_spectrum(model, g, spurious_factor=factor)
+        assert len(win.real_values()) == len(dense.real_values()) < count
+        assert np.array_equal(win.eigenvalues, dense.eigenvalues)
