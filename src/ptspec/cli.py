@@ -5,12 +5,21 @@
 
 Configuration is a single JSON document, the only way to set a run's
 parameters.  It is parsed and range-checked in full against DEFAULTS
-before any numerics run.  Every run is deterministic: fixed ordering,
-floats printed with at most 12 significant digits, and the JSON
-rendering carries exactly the same numeric payload as the CSV one.
+before any numerics run.
+
+Every run is deterministic, byte for byte.  A command's table is written
+column by column in blocks of BLOCK_ROWS rows, never held as text whole.
+A CSV float cell is ``"%.12g" % x`` (``nan``, ``inf``, ``-inf`` when not
+finite); an int is its decimal digits and a string is written as is.
+A JSON float is the shortest repr of the float that CSV cell reads as,
+so both formats carry the same numeric payload; non-finite values are
+``NaN``, ``Infinity`` and ``-Infinity``.  A JSON string is escaped as by
+``json.dumps``.  The JSON document is ``json.dumps(..., indent=2,
+sort_keys=True)`` of the payload with its ``rows`` key last.
 
 Exit codes: 0 success, 2 input rejected before any numerics (bad config,
-unsupported model regime), 3 the numerics failed, 4 verification FAIL.
+unsupported model regime, a grid above the command's cap), 3 the numerics
+failed, 4 verification FAIL.
 """
 
 import argparse
@@ -40,6 +49,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY_FAIL = 4
+
+# Largest wavefunction grid, one table row per point: far above any useful
+# tabulation, it keeps a mistyped npoints from allocating gigabytes.
+MAX_ROWS = 2 ** 20
+
+# Rows rendered at a time: bounds the memory the cell tokens take.
+BLOCK_ROWS = 4096
+
+# JSON spellings of the non-finite floats, as json.dumps writes them
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 class ConfigError(ValueError):
@@ -188,23 +207,52 @@ def load_config(path):
     return RunConfig.from_dict(doc)
 
 
-def _render(payload, columns, rows, comments, out, outfmt):
-    """Write one result table as CSV (with # comment trailer) or JSON.
-    The JSON is streamed to the file or stdout, not built as one string."""
+def _tokens(column, outfmt):
+    """The output cells of one column: an int or float ndarray, or a list
+    of strings."""
+    if not isinstance(column, np.ndarray):
+        return list(column if outfmt == "csv" else map(json.dumps, column))
+    values = column.tolist()
+    if column.dtype.kind in "iu":
+        return list(map(str, values))
+    cells = ["%.12g" % x for x in values]
+    if outfmt == "csv":
+        return cells
+    return [_JSON_NONFINITE.get(c) or repr(float(c)) for c in cells]
+
+
+def _write_rows(fh, table, outfmt, cell_sep, row_sep):
+    """Write the rows of `table`, given as columns, in blocks of BLOCK_ROWS
+    rows; cells are joined by `cell_sep` and rows by `row_sep`."""
+    for start in range(0, len(table[0]), BLOCK_ROWS):
+        block = [_tokens(column[start:start + BLOCK_ROWS], outfmt)
+                 for column in table]
+        fh.write((row_sep if start else "")
+                 + row_sep.join(map(cell_sep.join, zip(*block))))
+
+
+def _render(payload, columns, table, comments, out, outfmt):
+    """Write one result table, given as one array or list per column, as
+    CSV (with # comment trailer) or JSON, to the file or stdout."""
+    nrows = len(table[0])
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
         if outfmt == "csv":
-            lines = [",".join(columns)]
-            for row in rows:
-                lines.append(",".join(fmt(x) if not isinstance(x, str) else x
-                                      for x in row))
-            lines.extend(comments)
-            fh.write("\n".join(lines) + "\n")
-        else:
-            payload["columns"] = columns
-            payload["rows"] = [[fnum(x) if not isinstance(x, str) else x
-                                for x in row] for row in rows]
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(",".join(columns) + "\n")
+            if nrows:
+                _write_rows(fh, table, outfmt, ",", "\n")
+                fh.write("\n")
+            fh.write("".join(line + "\n" for line in comments))
+            return
+        doc = json.dumps({**payload, "columns": columns, "rows": []},
+                         indent=2, sort_keys=True)
+        if nrows:
+            # "rows" sorts after every other payload key, so the document
+            # ends with its list: open it, write the rows, close it
+            fh.write(doc[:-len("]\n}")] + "\n    [\n      ")
+            _write_rows(fh, table, outfmt, ",\n      ",
+                        "\n    ],\n    [\n      ")
+            doc = "\n    ]\n  ]\n}"
+        fh.write(doc + "\n")
 
 
 def _analytic_levels(model, count):
@@ -215,17 +263,19 @@ def _analytic_levels(model, count):
     return termination_levels(model, depth)
 
 
-# Each command returns (columns, rows, comments, extra payload, exit code).
+# Each command returns (column names, table, comments, extra payload, exit
+# code).  The table is one column per name: an int or float ndarray, or a
+# list of strings.
 
 def cmd_spectrum(cfg, model, g):
     tol = cfg.tolerances
     result = solve_spectrum(model, g, want_vectors=True,
                             reality_tol=tol["reality"],
                             spurious_factor=tol["spurious_factor"])
-    rows = [[i, ev.real, ev.imag, result.classifications[i],
-             result.pt_defects[i]]
-            for i, ev in enumerate(result.eigenvalues)]
-    return (["index", "re_e", "im_e", "class", "pt_defect"], rows, [], {},
+    ev = result.eigenvalues
+    table = [np.arange(len(ev)), ev.real, ev.imag,
+             list(result.classifications), np.asarray(result.pt_defects)]
+    return (["index", "re_e", "im_e", "class", "pt_defect"], table, [], {},
             EXIT_OK)
 
 
@@ -245,12 +295,13 @@ def cmd_verify(cfg, model, g):
         report = match_spectra(result, levels, available, tol=tol["match"])
         passed = False
         comments.append(f"# insufficient real levels ({available} < {count})")
-    rows = [[i, e.numeric, e.analytic, e.abs_err, e.rel_err]
-            for i, e in enumerate(report.entries)]
+    values = np.array([[e.numeric, e.analytic, e.abs_err, e.rel_err]
+                       for e in report.entries], dtype=float).reshape(-1, 4)
+    table = [np.arange(len(values)), *values.T]
     verdict = "PASS" if passed else "FAIL"
     comments.append(f"# {verdict}" + (
         f" worst_rel_err={fmt(report.worst_rel_err)}" if report.entries else ""))
-    return (["index", "numeric", "analytic", "abs_err", "rel_err"], rows,
+    return (["index", "numeric", "analytic", "abs_err", "rel_err"], table,
             comments, {"passed": passed},
             EXIT_OK if passed else EXIT_VERIFY_FAIL)
 
@@ -266,12 +317,15 @@ def cmd_scan(cfg, model, g):
     scan = scan_parameter(family, sc["lo"], sc["hi"], sc["steps"],
                           sc["levels"],
                           crossing_tol=cfg.tolerances["crossing"])
-    rows = []
+    params, index, energies = [], [], []
     for p, evs in zip(scan.params, scan.energies):
-        if evs is None:
-            continue
-        for i, ev in enumerate(evs):
-            rows.append([p, i, ev.real, ev.imag])
+        if evs is not None:
+            params += [p] * len(evs)
+            index += range(len(evs))
+            energies += list(evs)
+    energies = np.array(energies, dtype=complex)
+    table = [np.array(params, dtype=float), np.array(index, dtype=int),
+             energies.real, energies.imag]
     comments = [f"# crossing param={fmt(c.param)} "
                 f"levels={c.pair[0]},{c.pair[1]} gap={fmt(c.gap)}"
                 for c in scan.crossings]
@@ -282,7 +336,7 @@ def cmd_scan(cfg, model, g):
                             "gap": fnum(c.gap)} for c in scan.crossings],
              "failures": [{"param": fnum(p), "error": m}
                           for p, m in scan.failures]}
-    return ["param", "index", "re_e", "im_e"], rows, comments, extra, EXIT_OK
+    return ["param", "index", "re_e", "im_e"], table, comments, extra, EXIT_OK
 
 
 def cmd_wavefunction(cfg, model, g):
@@ -293,8 +347,7 @@ def cmd_wavefunction(cfg, model, g):
         psi = ptho_wavefunction(idx, qp, model, t)
     else:
         psi = angular_wavefunction(idx, qp, model, t)
-    rows = [[tj, pj.real, pj.imag] for tj, pj in zip(t, psi)]
-    return ["t", "re_psi", "im_psi"], rows, [], {}, EXIT_OK
+    return ["t", "re_psi", "im_psi"], [t, psi.real, psi.imag], [], {}, EXIT_OK
 
 
 _COMMANDS = {
@@ -325,11 +378,13 @@ def main(argv=None):
         model, g = cfg.build()
         # spectrum and scan assemble the dense real N x N form of the
         # operator (8 N^2 bytes); verify falls back to it when its
-        # window solve is not certified
-        if args.command != "wavefunction" and g.npoints > MAX_POINTS:
+        # window solve is not certified.  wavefunction writes a row per
+        # grid point.
+        cap = MAX_ROWS if args.command == "wavefunction" else MAX_POINTS
+        if g.npoints > cap:
             raise ConfigError(f"contour.npoints {g.npoints} exceeds the "
-                              f"dense-solver cap {MAX_POINTS}")
-        columns, rows, comments, extra, code = _COMMANDS[args.command](
+                              f"{args.command} cap {cap}")
+        columns, table, comments, extra, code = _COMMANDS[args.command](
             cfg, model, g)
     except (ConfigError, UnsupportedModel) as exc:
         print(f"ptspec: configuration error: {exc}", file=sys.stderr)
@@ -339,7 +394,7 @@ def main(argv=None):
         return EXIT_SOLVER
     payload = {"format_version": FORMAT_VERSION, "command": args.command,
                "config": cfg.to_dict(), **extra}
-    _render(payload, columns, rows, comments, args.out, args.format)
+    _render(payload, columns, table, comments, args.out, args.format)
     return code
 
 

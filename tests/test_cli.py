@@ -1,16 +1,20 @@
 """Command-line interface: determinism, format parity, exit codes,
 configuration handling."""
 
+import contextlib
 import copy
+import io
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ptspec.cli
-from ptspec.cli import (DEFAULTS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
-                        EXIT_VERIFY_FAIL, MODEL_KEYS, ConfigError, RunConfig,
+from ptspec.cli import (BLOCK_ROWS, DEFAULTS, EXIT_CONFIG, EXIT_OK,
+                        EXIT_SOLVER, EXIT_VERIFY_FAIL, MAX_ROWS, MODEL_KEYS,
+                        ConfigError, RunConfig, _render,
                         build_parser, fmt, fnum, main)
 from ptspec.exceptions import DomainError
 
@@ -261,6 +265,22 @@ class TestExitCodes:
             code, out = run([command, "--config", cfg], capsys)
             assert (command, code, out) == (command, EXIT_CONFIG, "")
 
+    def test_oversize_wavefunction_grid_exits_2_before_allocation(
+            self, tmp_path, capsys, monkeypatch):
+        sizes = []
+
+        def small_grid(g):
+            sizes.append(g.npoints)
+            return np.linspace(-1.0, 1.0, 5)
+        monkeypatch.setattr(ptspec.cli, "grid_points", small_grid)
+        for npoints, expected in [(MAX_ROWS + 1, EXIT_CONFIG),
+                                  (MAX_ROWS, EXIT_OK)]:
+            cfg = write_config(tmp_path, dict(SMALL_PTHO,
+                                              contour={"npoints": npoints}))
+            code, out = run(["wavefunction", "--config", cfg], capsys)
+            assert code == expected and (out == "") == (code == EXIT_CONFIG)
+        assert sizes == [MAX_ROWS]       # the rejected grid was never built
+
     def test_solver_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise DomainError("outside the domain")
@@ -365,8 +385,10 @@ class TestVerifyWindow:
         assert ("# PASS" in out) == (expected == EXIT_OK)
 
 
-def text_rendering(payload, columns, rows, comments, outfmt):
-    """The whole output text, built in memory and written at once."""
+def text_rendering(payload, columns, table, comments, outfmt):
+    """The whole output text, built row by row in memory and written at
+    once: the byte oracle for the column-wise renderer."""
+    rows = list(zip(*table))
     if outfmt == "csv":
         lines = [",".join(columns)]
         for row in rows:
@@ -380,38 +402,135 @@ def text_rendering(payload, columns, rows, comments, outfmt):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def rendered(payload, columns, table, comments, outfmt, tmp_path):
+    """What _render writes to stdout and to a file, as two strings."""
+    out_file = tmp_path / f"table.{outfmt}"
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        _render(payload, columns, table, comments, None, outfmt)
+    _render(payload, columns, table, comments, str(out_file), outfmt)
+    return buffer.getvalue(), out_file.read_text()
+
+
+PAYLOAD = {"format_version": 1, "command": "spectrum",
+           "config": {"contour": {"npoints": 16}}, "passed": False}
+
+# floats where the two renderings can go wrong: non-finite values, signed
+# zeros, subnormals, integers where %g and repr switch to exponent notation
+# at different magnitudes, and values near %g's 1e-5 switch
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                     -2.5e-320, 2.2250738585072014e-308, 1e-5,
+                     9.99999999999e-6, 1e11, 1e12, 1e15, 1e16, 1e17,
+                     123456789012.5]),
+    st.integers(10 ** 11, 10 ** 17).map(float),
+    st.floats(9e-6, 1.1e-5), st.floats(-1.1e-5, -9e-6))
+# strings that need JSON escapes: quotes, backslashes, controls, non-ASCII
+TEXT = st.text(st.sampled_from('ab"\\\n\t\x00\x1f\u00e9\u2028\U0001f600'),
+               max_size=6)
+COLUMN_KINDS = {
+    "int": lambda n: st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                              min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=np.int64)),
+    "float": lambda n: st.lists(FLOATS, min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=float)),
+    "str": lambda n: st.lists(TEXT, min_size=n, max_size=n),
+}
+
+
+@st.composite
+def tables(draw, block):
+    """A table of 1-4 columns of mixed kinds whose row count is drawn
+    around the block boundaries."""
+    nrows = draw(st.sampled_from([0, 1, block - 1, block, block + 1,
+                                  2 * block + 1]) | st.integers(0, 20))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1,
+                          max_size=4))
+    return [draw(COLUMN_KINDS[kind](nrows)) for kind in kinds]
+
+
+# one CLI run per command, plus a verify run whose table is empty
+RENDER_CASES = [
+    ("wavefunction", {"model": {"kind": "ptho", "alpha": 1.3, "shift": 1.0},
+                      "contour": {"npoints": 2001, "halfwidth": 8.0},
+                      "wavefunction": {"index": 2, "qparity": -1}}),
+    ("scan", {"model": {"kind": "ptho", "alpha": 1.5, "shift": 0.8},
+              "contour": {"npoints": 100, "halfwidth": 8.0},
+              "scan": {"lo": 0.55, "hi": 2.45, "steps": 5, "levels": 4}}),
+    # a string column (class) beside int and float columns
+    ("spectrum", SMALL_PTHO),
+    ("verify", {"model": {"kind": "ptho", "alpha": 1.5, "shift": 1.0},
+                "contour": {"npoints": 500, "halfwidth": 12.0},
+                "tolerances": {"match": 0.05}, "verify": {"count": 4}}),
+    # no real level survives on 16 points: an empty table, exit 4
+    ("verify", {"model": {"kind": "ptho", "alpha": 1.5, "shift": 1.0},
+                "contour": {"npoints": 16, "halfwidth": 12.0}}),
+]
+
+
 class TestRendering:
-    @pytest.mark.parametrize("command,doc", [
-        ("wavefunction", {"model": {"kind": "ptho", "alpha": 1.3,
-                                    "shift": 1.0},
-                          "contour": {"npoints": 2001, "halfwidth": 8.0},
-                          "wavefunction": {"index": 2, "qparity": -1}}),
-        ("scan", {"model": {"kind": "ptho", "alpha": 1.5, "shift": 0.8},
-                  "contour": {"npoints": 100, "halfwidth": 8.0},
-                  "scan": {"lo": 0.55, "hi": 2.45, "steps": 5,
-                           "levels": 4}}),
-    ])
+    @pytest.mark.parametrize("command,doc", RENDER_CASES)
     @pytest.mark.parametrize("outfmt", ["csv", "json"])
     def test_streamed_output_matches_text_rendering(
             self, tmp_path, capsys, monkeypatch, command, doc, outfmt):
         expected = []
         streamed = ptspec.cli._render
 
-        def render(payload, columns, rows, comments, out, fmt_):
+        def render(payload, columns, table, comments, out, fmt_):
             expected.append(text_rendering(copy.deepcopy(payload), columns,
-                                           rows, comments, fmt_))
-            streamed(payload, columns, rows, comments, out, fmt_)
+                                           table, comments, fmt_))
+            streamed(payload, columns, table, comments, out, fmt_)
         monkeypatch.setattr(ptspec.cli, "_render", render)
         cfg = write_config(tmp_path, doc)
         out_file = tmp_path / "out.txt"
         code, out = run([command, "--config", cfg, "--format", outfmt],
                         capsys)
-        assert code == EXIT_OK
+        assert code in (EXIT_OK, EXIT_VERIFY_FAIL)
         assert main([command, "--config", cfg, "--format", outfmt,
-                     "--out", str(out_file)]) == EXIT_OK
+                     "--out", str(out_file)]) == code
         assert expected[0] == expected[1]
         assert out == expected[0]
         assert out_file.read_bytes() == expected[0].encode()
+
+    def test_empty_verify_table(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, RENDER_CASES[-1][1])
+        code, out = run(["verify", "--config", cfg], capsys)
+        assert code == EXIT_VERIFY_FAIL
+        assert out == ("index,numeric,analytic,abs_err,rel_err\n"
+                       "# insufficient real levels (0 < 8)\n# FAIL\n")
+        code, out = run(["verify", "--config", cfg, "--format", "json"],
+                        capsys)
+        doc = json.loads(out)
+        assert (code, doc["rows"], doc["passed"]) == (EXIT_VERIFY_FAIL, [],
+                                                      False)
+
+    @pytest.mark.parametrize("nrows", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("outfmt", ["csv", "json"])
+    def test_block_boundaries(self, tmp_path, nrows, outfmt):
+        values = np.linspace(-3.0, 3.0, nrows) ** 7
+        table = [np.arange(nrows), values, ["real", "pair"] * (nrows // 2)
+                 + ["real"] * (nrows % 2)]
+        expected = text_rendering(copy.deepcopy(PAYLOAD), ["i", "x", "c"],
+                                  table, ["# done"], outfmt)
+        assert rendered(PAYLOAD, ["i", "x", "c"], table, ["# done"], outfmt,
+                        tmp_path) == (expected, expected)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(block=st.integers(1, 4), data=st.data(),
+           outfmt=st.sampled_from(["csv", "json"]),
+           comments=st.lists(st.just("# note"), max_size=2))
+    def test_matches_text_rendering(self, tmp_path, block, data, outfmt,
+                                    comments):
+        table = data.draw(tables(block))
+        columns = [f"c{i}" for i in range(len(table))]
+        expected = text_rendering(copy.deepcopy(PAYLOAD), columns, table,
+                                  comments, outfmt)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ptspec.cli, "BLOCK_ROWS", block)
+            assert rendered(PAYLOAD, columns, table, comments, outfmt,
+                            tmp_path) == (expected, expected)
 
 
 class TestWavefunctionCommand:
