@@ -41,11 +41,10 @@ DEFAULT_HALFWIDTH = 12.0
 
 @dataclass(frozen=True)
 class Contour:
-    """A discretized contour: kind is "straight" or "periodic", shift the
-    downward displacement (c or eps), halfwidth the truncation L (pi,
-    fixed, for periodic), npoints the grid size."""
+    """A discretized contour: kind is "straight" or "periodic", halfwidth
+    the truncation L (pi, fixed, for periodic), npoints the grid size.
+    The downward shift is the model's own (c or eps)."""
     kind: str
-    shift: float
     halfwidth: float
     npoints: int
 
@@ -55,8 +54,6 @@ class Contour:
             raise ValueError(f"unknown contour kind {self.kind!r}")
         if self.npoints < MIN_POINTS:
             raise ValueError(f"npoints must be >= {MIN_POINTS}")
-        if self.shift < 0:
-            raise ValueError("shift must be non-negative")
         if self.kind == "periodic" and self.halfwidth != np.pi:
             raise ValueError("periodic contours have halfwidth pi")
         if self.halfwidth <= 0:
@@ -69,26 +66,27 @@ class Contour:
         return 2.0 * np.pi / self.npoints
 
 
-def straight_contour(shift, npoints, halfwidth=DEFAULT_HALFWIDTH):
-    return Contour("straight", shift, halfwidth, npoints)
+def straight_contour(npoints, halfwidth=DEFAULT_HALFWIDTH):
+    return Contour("straight", halfwidth, npoints)
 
 
-def periodic_contour(shift, npoints):
-    return Contour("periodic", shift, np.pi, npoints)
+def periodic_contour(npoints):
+    return Contour("periodic", np.pi, npoints)
 
 
 def contour_for(model, npoints, halfwidth=DEFAULT_HALFWIDTH):
     """Natural contour for a model: straight line for the oscillator,
     periodic interval for the angular equation."""
     if isinstance(model, PthoParams):
-        return straight_contour(model.c, npoints, halfwidth)
+        return straight_contour(npoints, halfwidth)
     if isinstance(model, AngularParams):
-        return periodic_contour(model.eps, npoints)
+        return periodic_contour(npoints)
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
 def grid_points(g: Contour):
-    """Real contour parameters t_j; the complex points are t_j - i shift.
+    """Real contour parameters t_j; the complex points are t_j - i shift,
+    with the model's shift.
 
     Both grids satisfy t_j = -t_{N-1-j} exactly, which the PT-structure
     of the assembled matrix relies on.
@@ -101,15 +99,15 @@ def grid_points(g: Contour):
     return 0.5 * (t - t[::-1])   # enforce exact reflection symmetry
 
 
-def potential_value(model, t, shift=None):
-    """Complex potential at contour points t - i shift.
+def potential_value(model, t):
+    """Complex potential at contour points t - i shift, with the model's
+    shift (c or eps).
 
     Oscillator: (t - ic)^2 + (alpha^2 - 1/4)/(t - ic)^2 (the +c^2 from
     completing the square is excluded).  Angular:
     ell(ell+1)/sin^2 z + lam(lam+1)/cos^2 z at z = t - i eps.
     """
-    if shift is None:
-        shift = model.c if isinstance(model, PthoParams) else model.eps
+    shift = model.c if isinstance(model, PthoParams) else model.eps
     z = np.asarray(t, dtype=float) - 1j * shift
     if isinstance(model, PthoParams):
         strength = model.alpha ** 2 - 0.25
@@ -140,7 +138,7 @@ def real_form(model, g: Contour):
         raise ValueError(f"npoints {g.npoints} exceeds the dense-solver "
                          f"cap {MAX_POINTS}")
     h = g.gridstep
-    v = potential_value(model, grid_points(g), shift=g.shift)
+    v = potential_value(model, grid_points(g))
     if not np.array_equal(v[::-1], np.conj(v)):
         raise ValueError("potential is not PT-symmetric on the grid: "
                          "V(-t) != conj(V(t))")

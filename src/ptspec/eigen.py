@@ -8,8 +8,9 @@ The lowest levels alone come from solve_lowest: ARPACK shift-invert on
 the sparse A, accepted only when a disc guard and a determinant-parity
 guard certify the window, with the dense solve as fallback.  Around them
 live reality/conjugate-pair classification, PT-defect of eigenvectors,
-matching against closed-form levels, and scans that locate level
-crossings.
+scans that locate level crossings, and match_spectra, which sets the
+lowest real levels beside the closed form as the four float columns
+(numeric, analytic, abs_err, rel_err) that `ptspec verify` prints.
 """
 
 from dataclasses import dataclass, field
@@ -46,7 +47,7 @@ class SpectrumResult:
         """Retained real eigenvalues (classification 'real'), ascending."""
         if self.classifications is None:
             raise ValueError("spectrum has not been classified")
-        mask = np.array([c == REAL for c in self.classifications])
+        mask = np.array([c == REAL for c in self.classifications], bool)
         return self.eigenvalues[mask].real
 
 
@@ -283,54 +284,21 @@ def _cycle_count(perm):
     return cycles
 
 
-@dataclass
-class MatchEntry:
-    numeric: float
-    analytic: float
-    abs_err: float
-    rel_err: float
-
-
-@dataclass
-class MatchReport:
-    entries: list
-    tol: float
-
-    @property
-    def passed(self):
-        return all(e.rel_err <= self.tol for e in self.entries)
-
-    @property
-    def worst_rel_err(self):
-        return max(e.rel_err for e in self.entries)
-
-    @property
-    def worst_abs_err(self):
-        return max(e.abs_err for e in self.entries)
-
-
-def match_spectra(numeric: SpectrumResult, analytic_levels, count, tol):
-    """Pair the lowest `count` numeric real eigenvalues with the sorted
-    closed-form multiset and report per-level errors.
-
-    Relative error is measured against max(1, |analytic|) so zero-energy
-    levels stay meaningful.
-    """
-    real = np.sort(numeric.real_values())
-    if len(real) < count:
-        raise InsufficientLevels(
-            f"only {len(real)} real levels retained, need {count}")
-    energies = sorted(lv.energy for lv in analytic_levels)
+def match_spectra(numeric: SpectrumResult, analytic_levels, count):
+    """The lowest min(count, available) numeric real eigenvalues beside
+    the sorted closed-form multiset: four float arrays (numeric, analytic,
+    abs_err, rel_err).  abs_err = |numeric - analytic| and rel_err =
+    abs_err / max(1, |analytic|), so zero-energy levels stay meaningful.
+    Fewer than `count` closed-form levels raises InsufficientLevels."""
+    energies = np.sort([lv.energy for lv in analytic_levels])
     if len(energies) < count:
         raise InsufficientLevels(
             f"only {len(energies)} analytic levels supplied, need {count}")
-    entries = []
-    for num, ana in zip(real[:count], energies[:count]):
-        abs_err = abs(num - ana)
-        entries.append(MatchEntry(numeric=float(num), analytic=float(ana),
-                                  abs_err=abs_err,
-                                  rel_err=abs_err / max(1.0, abs(ana))))
-    return MatchReport(entries=entries, tol=tol)
+    real = np.sort(numeric.real_values())[:count]
+    analytic = energies[:len(real)]
+    abs_err = np.abs(real - analytic)
+    rel_err = abs_err / np.maximum(1.0, np.abs(analytic))
+    return real, analytic, abs_err, rel_err
 
 
 @dataclass

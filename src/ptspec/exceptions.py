@@ -18,4 +18,4 @@ class SingularPoint(ValueError):
 
 
 class InsufficientLevels(ValueError):
-    """Fewer real eigenvalues were retained than the comparison requires."""
+    """Fewer levels were supplied than the comparison requires."""

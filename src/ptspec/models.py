@@ -45,9 +45,9 @@ class PthoParams:
         require_finite(self)
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.c <= 0 and self.alpha != 0.5:
-            raise ValueError("shift c must be positive when the singular "
-                             "term is present (alpha != 1/2)")
+        if self.c < 0 or (self.c == 0 and self.alpha != 0.5):
+            raise ValueError("shift c must be positive, or zero when the "
+                             "singular term vanishes (alpha = 1/2)")
 
 
 @dataclass(frozen=True)

@@ -239,12 +239,13 @@ class TestExitCodes:
         ("wavefunction", {"model": {"kind": "angular"},
                           "contour": {"halfwidth": -3.0}}),
         ("spectrum", {"model": {"kind": 1}}),
+        ("verify", {"model": {"alpha": 0.5, "shift": -1.0}}),
     ], ids=["lo-above-hi", "lo-equals-hi", "levels-0", "steps-1",
             "lo-negative", "lo-zero",
             "match-negative", "reality-negative", "spurious-negative",
             "index-negative", "qparity-0", "ptho-with-ell",
             "angular-with-alpha", "angular-with-halfwidth",
-            "kind-not-a-string"])
+            "kind-not-a-string", "shift-negative-at-half-alpha"])
     def test_out_of_range_exits_2(self, tmp_path, capsys, command, doc):
         code, out = run([command, "--config", write_config(tmp_path, doc)],
                         capsys)
@@ -280,6 +281,34 @@ class TestExitCodes:
             code, out = run(["wavefunction", "--config", cfg], capsys)
             assert code == expected and (out == "") == (code == EXIT_CONFIG)
         assert sizes == [MAX_ROWS]       # the rejected grid was never built
+
+    @pytest.mark.parametrize("command,work", [("verify", "solve_lowest"),
+                                              ("wavefunction", "grid_points")])
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_2_before_numerics(
+            self, tmp_path, capsys, monkeypatch, command, work, target):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+        monkeypatch.setattr(ptspec.cli, work, never)
+        cfg = write_config(tmp_path, SMALL_PTHO)
+        before = sorted(tmp_path.rglob("*"))
+        out = (tmp_path / "missing" / "x.csv" if target == "missing-directory"
+               else tmp_path)
+        code = main([command, "--config", cfg, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG and captured.out == ""
+        assert "configuration error" in captured.err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_out_file_in_working_directory(self, tmp_path, capsys,
+                                           monkeypatch):
+        # a bare file name has the working directory as its parent
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, SMALL_PTHO)
+        code, out = run(["wavefunction", "--config", cfg, "--out", "wf.csv"],
+                        capsys)
+        assert code == EXIT_OK and out == ""
+        assert (tmp_path / "wf.csv").read_text().startswith("t,re_psi")
 
     def test_solver_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -358,6 +387,45 @@ class TestVerifyCommand:
         code, out = run(["verify", "--config", cfg], capsys)
         assert code == EXIT_OK
         assert "# PASS" in out
+
+    @pytest.mark.parametrize("doc,rows,code,short", [
+        ({"contour": {"npoints": 500}, "verify": {"count": 4},
+          "tolerances": {"match": 0.05}}, 4, EXIT_OK, False),
+        ({"contour": {"npoints": 500}, "verify": {"count": 4},
+          "tolerances": {"match": 1e-6}}, 4, EXIT_VERIFY_FAIL, False),
+        ({"contour": {"npoints": 200},
+          "tolerances": {"spurious_factor": 0.05}}, 7, EXIT_VERIFY_FAIL,
+         True),
+        ({"contour": {"npoints": 16}}, 0, EXIT_VERIFY_FAIL, True),
+    ], ids=["pass", "fail", "partly-short", "empty"])
+    def test_rows_follow_the_per_level_formulas(self, tmp_path, capsys, doc,
+                                                rows, code, short):
+        # default model: alpha = 3/2, closed form E = 4n + 2 -+ 3
+        cfg = write_config(tmp_path, doc)
+        count = doc.get("verify", {}).get("count", 8)
+        got, out = run(["verify", "--config", cfg, "--format", "json"],
+                       capsys)
+        table = json.loads(out)
+        assert got == code and table["passed"] == (code == EXIT_OK)
+        assert len(table["rows"]) == rows
+        closed = sorted(4 * n + 2 + s * 3.0 for n in range(count)
+                        for s in (-1, 1))
+        for i, (index, num, ana, abs_err, rel_err) in enumerate(
+                table["rows"]):
+            assert (index, ana) == (i, closed[i])
+            # cells carry 12 significant digits
+            assert abs_err == pytest.approx(abs(num - ana), abs=1e-9)
+            assert rel_err == pytest.approx(abs_err / max(1.0, abs(ana)),
+                                            rel=1e-10)
+        got, out = run(["verify", "--config", cfg], capsys)
+        comments = [line for line in out.splitlines()
+                    if line.startswith("#")]
+        verdict = "# PASS" if code == EXIT_OK else "# FAIL"
+        if rows:
+            worst = max(row[-1] for row in table["rows"])
+            verdict += f" worst_rel_err={fmt(worst)}"
+        expected = [f"# insufficient real levels ({rows} < {count})"] * short
+        assert got == code and comments == expected + [verdict]
 
 
 class TestVerifyWindow:

@@ -15,7 +15,7 @@ from ptspec.exceptions import SingularPoint
 def complex_stencil(model, g):
     """The complex 3-point matrix H of -d^2 + V on g, built directly."""
     n, h = g.npoints, g.gridstep
-    v = ps.potential_value(model, ps.grid_points(g), shift=g.shift)
+    v = ps.potential_value(model, ps.grid_points(g))
     m = np.diag(2.0 / h ** 2 + v)
     m += np.diag(np.full(n - 1, -1.0 / h ** 2), 1)
     m += np.diag(np.full(n - 1, -1.0 / h ** 2), -1)
@@ -31,36 +31,44 @@ def similarity(n):
             + np.exp(-0.25j * np.pi) * eye[::-1]) / np.sqrt(2.0)
 
 
+def unchecked(cls, **fields):
+    """An instance of a frozen model dataclass without its domain checks."""
+    model = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(model, name, value)
+    return model
+
+
 def break_pt(monkeypatch):
     """Make potential_value add a real odd term, which V(-t) = conj(V(t))
     forbids."""
     original = ptspec.contour.potential_value
 
-    def skewed(model, t, shift=None):
-        return original(model, t, shift) + 0.01 * np.asarray(t)
+    def skewed(model, t):
+        return original(model, t) + 0.01 * np.asarray(t)
     monkeypatch.setattr(ptspec.contour, "potential_value", skewed)
 
 
 class TestContourGeometry:
     def test_straight_gridstep_and_endpoints(self):
-        g = ps.straight_contour(1.0, npoints=21, halfwidth=10.0)
+        g = ps.straight_contour(npoints=21, halfwidth=10.0)
         t = ps.grid_points(g)
         assert g.gridstep == pytest.approx(1.0)
         assert t[0] == -10.0 and t[-1] == 10.0
         assert np.allclose(np.diff(t), g.gridstep)
 
     def test_periodic_gridstep_and_midpoints(self):
-        g = ps.periodic_contour(0.1, npoints=16)
+        g = ps.periodic_contour(npoints=16)
         t = ps.grid_points(g)
         assert g.gridstep == pytest.approx(2 * math.pi / 16)
         assert t[0] == pytest.approx(-math.pi + g.gridstep / 2)
         assert t[-1] == pytest.approx(math.pi - g.gridstep / 2)
 
     @pytest.mark.parametrize("g", [
-        ps.straight_contour(1.0, npoints=33, halfwidth=7.0),
-        ps.straight_contour(0.5, npoints=34, halfwidth=7.0),
-        ps.periodic_contour(0.2, npoints=32),
-        ps.periodic_contour(0.2, npoints=33),
+        ps.straight_contour(npoints=33, halfwidth=7.0),
+        ps.straight_contour(npoints=34, halfwidth=7.0),
+        ps.periodic_contour(npoints=32),
+        ps.periodic_contour(npoints=33),
     ])
     def test_reflection_is_exact(self, g):
         # classification and pt_defect rely on t_j = -t_{N-1-j} with no
@@ -70,21 +78,22 @@ class TestContourGeometry:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ps.Contour("circle", 1.0, 1.0, 32)
+            ps.Contour("circle", 1.0, 32)
         with pytest.raises(ValueError):
-            ps.straight_contour(1.0, npoints=8)
+            ps.straight_contour(npoints=8)
         with pytest.raises(ValueError):
-            ps.straight_contour(-1.0, npoints=32)
+            ps.Contour("periodic", 1.0, 32)
         with pytest.raises(ValueError):
-            ps.Contour("periodic", 0.1, 1.0, 32)
-        with pytest.raises(ValueError):
-            ps.straight_contour(1.0, npoints=32, halfwidth=-2.0)
+            ps.straight_contour(npoints=32, halfwidth=-2.0)
+        # the shift belongs to the model, which rejects a negative one
+        with pytest.raises(ValueError, match="shift c"):
+            ps.PthoParams(alpha=0.5, c=-1.0)
 
-    @pytest.mark.parametrize("field", ["shift", "halfwidth", "npoints"])
+    @pytest.mark.parametrize("field", ["halfwidth", "npoints"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, field, bad):
-        args = {"kind": "straight", "shift": 1.0, "halfwidth": 8.0,
-                "npoints": 32, field: bad}
+        args = {"kind": "straight", "halfwidth": 8.0, "npoints": 32,
+                field: bad}
         with pytest.raises(ValueError, match=field):
             ps.Contour(**args)
 
@@ -92,7 +101,7 @@ class TestContourGeometry:
         assert ps.contour_for(ps.PthoParams(1.5, 1.0),
                               npoints=64).kind == "straight"
         g = ps.contour_for(ps.AngularParams(ell=1.0, eps=0.1), npoints=64)
-        assert g.kind == "periodic" and g.shift == 0.1
+        assert g.kind == "periodic"
         with pytest.raises(TypeError):
             ps.contour_for(object(), npoints=64)
 
@@ -125,12 +134,18 @@ class TestPotential:
                                rtol=1e-14)
 
     def test_unshifted_contour_hits_pole(self):
+        # the models reject a zero shift that puts a pole on the contour;
+        # bypassed, potential_value still refuses it
+        with pytest.raises(ValueError):
+            ps.PthoParams(1.5, 0.0)
+        with pytest.raises(ValueError):
+            ps.AngularParams(ell=1.0, eps=0.0)
         with pytest.raises(SingularPoint):
-            ps.potential_value(ps.PthoParams(1.5, 1.0),
-                               np.array([-1.0, 0.0, 1.0]), shift=0.0)
+            ps.potential_value(unchecked(ps.PthoParams, alpha=1.5, c=0.0),
+                               np.array([-1.0, 0.0, 1.0]))
         with pytest.raises(SingularPoint):
-            ps.potential_value(ps.AngularParams(ell=1.0, eps=0.1),
-                               0.0, shift=0.0)
+            ps.potential_value(unchecked(ps.AngularParams, ell=1.0, eps=0.0,
+                                         lam=0.0), 0.0)
 
     def test_shift_removes_pole(self):
         v = ps.potential_value(ps.PthoParams(1.5, 0.5), 0.0)
@@ -149,7 +164,7 @@ class TestHamiltonian:
         assert np.array_equal(m, np.conj(m[::-1, ::-1]).T)
 
     def test_dense_square_real(self):
-        g = ps.straight_contour(1.0, npoints=32, halfwidth=8.0)
+        g = ps.straight_contour(npoints=32, halfwidth=8.0)
         m = ps.build_hamiltonian(ps.PthoParams(0.5, 1.0), g)
         assert m.shape == (32, 32) and m.dtype == np.float64
         assert m[0, 1] == -1.0 / g.gridstep ** 2
@@ -182,7 +197,7 @@ class TestHamiltonian:
     def test_non_pt_potential_rejected_before_allocation(self, monkeypatch):
         # the dense assembly and the sparse window solve both check first
         break_pt(monkeypatch)
-        g = ps.straight_contour(1.0, npoints=4000, halfwidth=8.0)
+        g = ps.straight_contour(npoints=4000, halfwidth=8.0)
         for solve in (ps.build_hamiltonian,
                       lambda model, g: ps.solve_lowest(model, g, 8)):
             tracemalloc.start()
@@ -205,7 +220,7 @@ class TestHamiltonian:
     def test_assembly_peak_memory_is_one_real_matrix(self):
         # 8 N^2 bytes for A; the complex H would take twice that
         n = 2000
-        g = ps.straight_contour(1.0, npoints=n, halfwidth=12.0)
+        g = ps.straight_contour(npoints=n, halfwidth=12.0)
         tracemalloc.start()
         try:
             a = ps.build_hamiltonian(ps.PthoParams(1.5, 1.0), g)
@@ -218,7 +233,7 @@ class TestHamiltonian:
     def test_oversize_grid_rejected_before_allocation(self):
         # the dense 5000-point operator would take 200 MB; the window
         # solve, whose fallback is dense, has the same cap
-        g = ps.straight_contour(1.0, npoints=5000, halfwidth=8.0)
+        g = ps.straight_contour(npoints=5000, halfwidth=8.0)
         for solve in (ps.build_hamiltonian,
                       lambda model, g: ps.solve_lowest(model, g, 8)):
             tracemalloc.start()
@@ -235,7 +250,7 @@ class TestHamiltonian:
         # periodic second-difference circulant with exact eigenvalues
         # 2(1 - cos(2 pi k / N)) / h^2
         n = 16
-        g = ps.periodic_contour(0.1, npoints=n)
+        g = ps.periodic_contour(npoints=n)
         m = ps.build_hamiltonian(ps.AngularParams(ell=0.0, eps=0.1), g)
         got = np.sort(np.linalg.eigvals(m).real)
         h = g.gridstep
@@ -248,7 +263,7 @@ class TestHamiltonian:
         # exactly for alpha = 1/2)
         def err(npoints):
             model = ps.PthoParams(0.5, 1.0)
-            g = ps.straight_contour(1.0, npoints, halfwidth=12.0)
+            g = ps.straight_contour(npoints, halfwidth=12.0)
             vals = ps.eig_dense(ps.build_hamiltonian(model, g)).eigenvalues
             return abs(vals[0] - 1.0)
 

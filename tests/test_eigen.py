@@ -139,28 +139,46 @@ class TestMatchSpectra:
         return ps.classify_spectrum(values, reality_tol=1e-7)
 
     def test_exact_match_passes(self):
-        rep = ps.match_spectra(self.spectrum([1.0, 3.0, 5.0]),
-                               self.levels([1.0, 3.0, 5.0]), 3, tol=1e-6)
-        assert rep.passed and rep.worst_rel_err == 0.0
+        num, ana, abs_err, rel_err = ps.match_spectra(
+            self.spectrum([5.0, 1.0, 3.0]), self.levels([3.0, 5.0, 1.0]), 3)
+        assert num.tolist() == ana.tolist() == [1.0, 3.0, 5.0]
+        assert abs_err.tolist() == rel_err.tolist() == [0.0, 0.0, 0.0]
+        assert all(c.dtype == np.float64 for c in (num, ana, abs_err, rel_err))
 
     def test_shifted_match_fails(self):
-        rep = ps.match_spectra(self.spectrum([1.0, 3.1, 5.0]),
-                               self.levels([1.0, 3.0, 5.0]), 3, tol=1e-3)
-        assert not rep.passed
-        assert rep.worst_abs_err == pytest.approx(0.1)
+        num, ana, abs_err, rel_err = ps.match_spectra(
+            self.spectrum([1.0, 3.1, 5.0]), self.levels([1.0, 3.0, 5.0]), 3)
+        assert abs_err == pytest.approx([0.0, 0.1, 0.0])
+        assert rel_err == pytest.approx([0.0, 0.1 / 3.0, 0.0])
+        assert not np.all(rel_err <= 1e-3)
 
     def test_zero_energy_uses_absolute_floor(self):
-        rep = ps.match_spectra(self.spectrum([1e-4]),
-                               self.levels([0.0]), 1, tol=1e-3)
-        assert rep.entries[0].rel_err == pytest.approx(1e-4)
+        # below |E| = 1 the error is measured against 1, not |E|
+        _, _, abs_err, rel_err = ps.match_spectra(
+            self.spectrum([1e-4, 0.4]), self.levels([0.0, 0.5]), 2)
+        assert rel_err.tolist() == abs_err.tolist()
+        assert rel_err == pytest.approx([1e-4, 0.1])
+
+    def test_short_numeric_spectrum_gives_short_columns(self):
+        # a pair value is not a real level: two real levels of three asked
+        columns = ps.match_spectra(self.spectrum([1.0, 4.0 + 1j, 4.0 - 1j,
+                                                  6.0]),
+                                   self.levels([1.0, 3.0, 5.0, 7.0]), 3)
+        num, ana, abs_err, rel_err = columns
+        assert [len(c) for c in columns] == [2, 2, 2, 2]
+        assert num.tolist() == [1.0, 6.0] and ana.tolist() == [1.0, 3.0]
+        assert abs_err.tolist() == [0.0, 3.0]
+        assert rel_err.tolist() == [0.0, 1.0]
+        for values in ([2.0 + 1j, 2.0 - 1j], []):
+            empty = ps.match_spectra(self.spectrum(values),
+                                     self.levels([1.0]), 1)
+            assert [len(c) for c in empty] == [0, 0, 0, 0]
 
     def test_insufficient_levels(self):
-        with pytest.raises(InsufficientLevels):
-            ps.match_spectra(self.spectrum([1.0]),
-                             self.levels([1.0, 3.0]), 2, tol=1e-3)
+        # too few closed-form levels is the caller's error
         with pytest.raises(InsufficientLevels):
             ps.match_spectra(self.spectrum([1.0, 3.0]),
-                             self.levels([1.0]), 2, tol=1e-3)
+                             self.levels([1.0]), 2)
 
 
 def split_at_crossings(alpha):
@@ -358,9 +376,10 @@ class TestSolveLowest:
         assert np.all(np.abs(lw - ld)[simple] <= 1e-8 * scale[simple])
         assert np.all(np.abs(lw - ld) <= 1e-4 * scale)
         levels = _analytic_levels(model, count)
+        rel_win = ps.match_spectra(win, levels, count)[-1]
+        rel_dense = ps.match_spectra(dense, levels, count)[-1]
         for tol in (1e-3, 1e-2):
-            assert (ps.match_spectra(win, levels, count, tol).passed
-                    == ps.match_spectra(dense, levels, count, tol).passed)
+            assert np.all(rel_win <= tol) == np.all(rel_dense <= tol)
 
     def test_crossing_doubles_k(self, monkeypatch):
         # at alpha = 1 every double level is a narrow conjugate pair, so
@@ -376,8 +395,8 @@ class TestSolveLowest:
         assert win.real_values()[:8] == pytest.approx(
             dense.real_values()[:8], rel=1e-5)
         levels = _analytic_levels(model, 8)
-        assert (ps.match_spectra(win, levels, 8, 1e-3).passed
-                == ps.match_spectra(dense, levels, 8, 1e-3).passed)
+        assert (np.all(ps.match_spectra(win, levels, 8)[-1] <= 1e-3)
+                == np.all(ps.match_spectra(dense, levels, 8)[-1] <= 1e-3))
 
     @pytest.mark.parametrize("model", [ps.PthoParams(1.5, 1.0),
                                        ps.AngularParams(ell=1.0, eps=0.1)])
