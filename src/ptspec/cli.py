@@ -17,6 +17,17 @@ so both formats carry the same numeric payload; non-finite values are
 ``json.dumps``.  The JSON document is ``json.dumps(..., indent=2,
 sort_keys=True)`` of the payload with its ``rows`` key last.
 
+A JSON float is spelled from its CSV cell.  Distinct decimals of at most
+15 significant digits read as distinct doubles in the normal range
+(DBL_DIG = 15), so no shorter decimal reads as the float a 12-digit cell
+does, and that float's repr has the cell's digits.  Where it also has the
+cell's notation, the cell is the token as it stands: a positional cell
+with a ``.``, or one with a two-digit negative exponent.  Every other cell
+is spelled ``repr(float(cell))``: an integer-like cell needs ``.0``, repr
+writes 1e12 to 1e16 positionally, and a three-digit negative exponent may
+be a subnormal, which holds fewer than 15 digits (the cell
+``4.94065645841e-324`` reads as ``5e-324``).
+
 Exit codes: 0 success, 2 input rejected before any numerics (bad config,
 unsupported model regime, a grid above the command's cap, an --out path
 that cannot be written), 3 the numerics failed, 4 verification FAIL.
@@ -219,7 +230,10 @@ def _tokens(column, outfmt):
     cells = ["%.12g" % x for x in values]
     if outfmt == "csv":
         return cells
-    return [_JSON_NONFINITE.get(c) or repr(float(c)) for c in cells]
+    # a positional cell, or one with a two-digit negative exponent, is
+    # already the repr of the float it reads as (see the module docstring)
+    return [c if "." in c and "e" not in c or c[-4:-2] == "e-"
+            else _JSON_NONFINITE.get(c) or repr(float(c)) for c in cells]
 
 
 def _write_rows(fh, table, outfmt, cell_sep, row_sep):

@@ -323,7 +323,8 @@ def scan_parameter(spectrum_fn, lo, hi, steps, levels,
     spectrum_fn(param) must return the retained low-lying eigenvalues
     (complex, enough of them to cover `levels`).  It is called exactly
     once per sweep point and nowhere else.  A family evaluation that
-    raises is recorded as a failure and its grid point skipped.
+    raises is recorded as a failure, (param, "ExceptionType: message"),
+    and its grid point skipped.
 
     Two levels that cross linearly have an adjacent gap shaped like a V,
     g(p) = g* + s |p - p*|.  At each local minimum of a pair's sampled
@@ -350,7 +351,8 @@ def scan_parameter(spectrum_fn, lo, hi, steps, levels,
             energies.append(vals[:levels])
         except Exception as exc:        # record and skip the bad point
             energies.append(None)
-            failures.append((float(p), str(exc)))
+            failures.append((float(p), type(exc).__name__
+                             + (f": {exc}" if str(exc) else "")))
 
     crossings = []
     for i in range(levels - 1):

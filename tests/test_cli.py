@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import ptspec.cli
 from ptspec.cli import (BLOCK_ROWS, DEFAULTS, EXIT_CONFIG, EXIT_OK,
                         EXIT_SOLVER, EXIT_VERIFY_FAIL, MAX_ROWS, MODEL_KEYS,
-                        ConfigError, RunConfig, _render,
+                        ConfigError, RunConfig, _render, _tokens,
                         build_parser, fmt, fnum, main)
 from ptspec.exceptions import DomainError
 
@@ -518,22 +519,33 @@ def tables(draw, block):
     return [draw(COLUMN_KINDS[kind](nrows)) for kind in kinds]
 
 
-# one CLI run per command, plus a verify run whose table is empty
+# sweep points 0.55, 1.025, 1.5, 1.975, 2.45
+SMALL_SCAN = {"model": {"kind": "ptho", "alpha": 1.5, "shift": 0.8},
+              "contour": {"npoints": 100, "halfwidth": 8.0},
+              "scan": {"lo": 0.55, "hi": 2.45, "steps": 5, "levels": 4}}
+
+# the default wavefunction on a wide grid: psi decays through the
+# subnormal range to zero towards the ends of the grid
+WIDE_WAVEFUNCTION = {"contour": {"npoints": 4001, "halfwidth": 40.0}}
+
+# no real level survives on 16 points: an empty table, exit 4
+EMPTY_VERIFY = {"model": {"kind": "ptho", "alpha": 1.5, "shift": 1.0},
+                "contour": {"npoints": 16, "halfwidth": 12.0}}
+
+# one CLI run per command, a verify run whose table is empty, and a
+# wavefunction with subnormal and zero cells
 RENDER_CASES = [
     ("wavefunction", {"model": {"kind": "ptho", "alpha": 1.3, "shift": 1.0},
                       "contour": {"npoints": 2001, "halfwidth": 8.0},
                       "wavefunction": {"index": 2, "qparity": -1}}),
-    ("scan", {"model": {"kind": "ptho", "alpha": 1.5, "shift": 0.8},
-              "contour": {"npoints": 100, "halfwidth": 8.0},
-              "scan": {"lo": 0.55, "hi": 2.45, "steps": 5, "levels": 4}}),
+    ("scan", SMALL_SCAN),
     # a string column (class) beside int and float columns
     ("spectrum", SMALL_PTHO),
     ("verify", {"model": {"kind": "ptho", "alpha": 1.5, "shift": 1.0},
                 "contour": {"npoints": 500, "halfwidth": 12.0},
                 "tolerances": {"match": 0.05}, "verify": {"count": 4}}),
-    # no real level survives on 16 points: an empty table, exit 4
-    ("verify", {"model": {"kind": "ptho", "alpha": 1.5, "shift": 1.0},
-                "contour": {"npoints": 16, "halfwidth": 12.0}}),
+    ("verify", EMPTY_VERIFY),
+    ("wavefunction", WIDE_WAVEFUNCTION),
 ]
 
 
@@ -562,7 +574,7 @@ class TestRendering:
         assert out_file.read_bytes() == expected[0].encode()
 
     def test_empty_verify_table(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, RENDER_CASES[-1][1])
+        cfg = write_config(tmp_path, EMPTY_VERIFY)
         code, out = run(["verify", "--config", cfg], capsys)
         assert code == EXIT_VERIFY_FAIL
         assert out == ("index,numeric,analytic,abs_err,rel_err\n"
@@ -599,6 +611,82 @@ class TestRendering:
             patch.setattr(ptspec.cli, "BLOCK_ROWS", block)
             assert rendered(PAYLOAD, columns, table, comments, outfmt,
                             tmp_path) == (expected, expected)
+
+
+def json_spelling(x):
+    """The JSON token of float x: the repr of the float its CSV cell reads
+    as, or the JSON name of a non-finite value."""
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return repr(float("%.12g" % x))
+
+
+# (value, JSON token) where a spelling shortcut can go wrong: subnormals,
+# whose 12-digit cell is not their shortest repr; three- and two-digit
+# negative exponents; %g's 1e-5 switch; integer-like cells, which need
+# ".0"; the 1e12 to 1e16 range, where %g writes an exponent and repr does
+# not; and the non-finite values
+EDGE_TOKENS = [
+    (5e-324, "5e-324"), (-2.5e-320, "-2.5e-320"), (1e-310, "1e-310"),
+    (2.2250738585072014e-308, "2.22507385851e-308"), (1e-100, "1e-100"),
+    (1e-99, "1e-99"), (9.99999999999e-6, "9.99999999999e-06"),
+    (1e-5, "1e-05"), (0.0, "0.0"), (-0.0, "-0.0"), (1.0, "1.0"),
+    (999999999999.5, "1000000000000.0"), (1e12, "1000000000000.0"),
+    (1.5e15, "1500000000000000.0"), (9.9999999999995e15, "1e+16"),
+    (1e16, "1e+16"), (1e300, "1e+300"), (math.nan, "NaN"),
+    (math.inf, "Infinity"), (-math.inf, "-Infinity")]
+
+
+class TestJsonFloatTokens:
+    @settings(max_examples=2000, deadline=None)
+    @given(x=st.floats())
+    def test_token_is_repr_of_the_csv_cell(self, x):
+        assert _tokens(np.array([x]), "json") == [json_spelling(x)]
+
+    @pytest.mark.parametrize("x,token", EDGE_TOKENS)
+    def test_edge_values(self, x, token):
+        assert json_spelling(x) == token
+        assert _tokens(np.array([x]), "json") == [token]
+
+    def test_wide_wavefunction_has_subnormal_and_zero_cells(self, tmp_path,
+                                                            capsys):
+        cfg = write_config(tmp_path, WIDE_WAVEFUNCTION)
+        code, out = run(["wavefunction", "--config", cfg], capsys)
+        cells = [c for line in out.splitlines()[1:] for c in line.split(",")]
+        assert code == EXIT_OK and len(cells) == 3 * 4001
+        assert any(0 < abs(float(c)) < sys.float_info.min for c in cells)
+        assert "0" in cells
+
+
+class TestScanCommand:
+    @pytest.mark.parametrize("exc,error", [
+        (ZeroDivisionError(), "ZeroDivisionError"),
+        (RuntimeError("boom"), "RuntimeError: boom")])
+    def test_failed_point_names_exception_type(self, tmp_path, capsys,
+                                               monkeypatch, exc, error):
+        numeric_family = ptspec.cli.ptho_numeric_family
+
+        def failing_family(**kwargs):
+            family = numeric_family(**kwargs)
+
+            def evaluate(alpha):
+                if alpha == 1.5:
+                    raise exc
+                return family(alpha)
+            return evaluate
+        monkeypatch.setattr(ptspec.cli, "ptho_numeric_family",
+                            failing_family)
+        cfg = write_config(tmp_path, SMALL_SCAN)
+        code, out = run(["scan", "--config", cfg], capsys)
+        assert code == EXIT_OK
+        assert f"# failed param=1.5: {error}" in out.splitlines()
+        code, out = run(["scan", "--config", cfg, "--format", "json"], capsys)
+        doc = json.loads(out)
+        assert code == EXIT_OK
+        assert doc["failures"] == [{"param": 1.5, "error": error}]
+        assert 1.5 not in {row[0] for row in doc["rows"]}
 
 
 class TestWavefunctionCommand:

@@ -255,7 +255,8 @@ class TestScan:
 
         scan = ps.scan_parameter(family, 0.0, 1.0, 6, 6)
         assert sum(e is None for e in scan.energies) == 2
-        assert scan.failures == [(0.8, "boom"), (1.0, "boom")]
+        assert scan.failures == [(0.8, "RuntimeError: boom"),
+                                 (1.0, "RuntimeError: boom")]
         assert scan.crossings == []
 
     def test_insufficient_family_levels(self):
