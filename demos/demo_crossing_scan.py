@@ -5,11 +5,12 @@ directions as alpha grows, so levels cross whenever alpha passes an
 integer.  These are unavoided crossings: at the crossing the matrix has
 a genuine degeneracy and, in a tiny window around it, the discretized
 operator briefly develops a complex-conjugate pair (an exceptional
-point).  The scan solves once per sweep point and locates each crossing
-by fitting a V to the level gaps sampled around a gap minimum.
+point).  The scan solves once per sweep point, from a shift-invert
+window that an argument-principle count certifies, and locates each
+crossing by fitting a V to the level gaps sampled around a gap minimum.
 
-Run:  python demos/demo_crossing_scan.py  (41 dense solves at N=400,
-about 20 s on two cores)
+Run:  python demos/demo_crossing_scan.py  (41 window solves at N=400,
+about 1.4 s on two cores)
 """
 
 import argparse

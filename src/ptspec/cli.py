@@ -133,10 +133,17 @@ def _typed(name, value, default):
 
 def _check_bounds(cfg):
     sc, wf = cfg.scan, cfg.wavefunction
+    npoints = cfg.contour["npoints"]
     for ok, message in [
             (cfg.verify["count"] >= 1, "verify.count must be at least 1"),
+            (cfg.verify["count"] <= npoints,
+             f"verify.count must not exceed contour.npoints ({npoints}): "
+             "the grid has no more levels"),
             (sc["steps"] >= 2, "scan.steps must be at least 2"),
             (sc["levels"] >= 2, "scan.levels must be at least 2"),
+            (sc["levels"] <= npoints,
+             f"scan.levels must not exceed contour.npoints ({npoints}): "
+             "the grid has no more levels"),
             (sc["lo"] > 0, "scan.lo must be positive"),
             (sc["lo"] < sc["hi"], "scan.lo must be below scan.hi"),
             (wf["index"] >= 0, "wavefunction.index must be non-negative"),
@@ -316,10 +323,11 @@ def cmd_scan(cfg, model, g):
     if not isinstance(model, PthoParams):
         raise ConfigError("scan sweeps the oscillator coupling; "
                           "model kind must be 'ptho'")
+    sc = cfg.scan
     family = ptho_numeric_family(
         c=model.c, npoints=g.npoints, halfwidth=g.halfwidth,
+        levels=sc["levels"],
         spurious_factor=cfg.tolerances["spurious_factor"])
-    sc = cfg.scan
     scan = scan_parameter(family, sc["lo"], sc["hi"], sc["steps"],
                           sc["levels"],
                           crossing_tol=cfg.tolerances["crossing"])
@@ -393,10 +401,10 @@ def main(argv=None):
                               "in a missing or read-only directory")
         cfg = load_config(args.config)
         model, g = cfg.build()
-        # spectrum and scan assemble the dense real N x N form of the
-        # operator (8 N^2 bytes); verify falls back to it when its
-        # window solve is not certified.  wavefunction writes a row per
-        # grid point.
+        # spectrum assembles the dense real N x N form of the operator
+        # (8 N^2 bytes); verify and scan fall back to it when a window
+        # solve is not certified.  wavefunction writes a row per grid
+        # point.
         cap = MAX_ROWS if args.command == "wavefunction" else MAX_POINTS
         if g.npoints > cap:
             raise ConfigError(f"contour.npoints {g.npoints} exceeds the "

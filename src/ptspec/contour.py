@@ -24,6 +24,10 @@ S = (e^{i pi/4} I + e^{-i pi/4} J) / sqrt(2),
 plus the periodic corners; row j of the antidiagonal holds Im V_j.
 real_form assembles A from these O(N) entries as a sparse matrix, and
 build_hamiltonian returns its dense image; the complex H is never formed.
+In the folded order (0, N-1, 1, N-2, ...) the antidiagonal and the
+periodic corners sit next to the diagonal and the tridiagonal couplings
+two places off it, so folded_band stores A as a band with two sub- and
+two superdiagonals, on both contours and for odd and even N.
 """
 
 from dataclasses import dataclass
@@ -158,6 +162,24 @@ def real_form(model, g: Contour):
     return scipy.sparse.coo_array(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n))
+
+
+def folded_band(a):
+    """The real form `a` (the COO array real_form returns) in the folded
+    order p = (0, N-1, 1, N-2, ...) as a (5, N) float array in LAPACK
+    band storage with two sub- and two superdiagonals:
+    band[2 + i - j, j] = A[p[i], p[j]].  Entries that meet at one
+    position are summed, as on conversion of the COO array."""
+    n = a.shape[0]
+    order = np.empty(n, dtype=int)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = n - 1 - np.arange(n // 2)
+    position = np.empty(n, dtype=int)
+    position[order] = np.arange(n)
+    i, j = position[a.row], position[a.col]
+    band = np.zeros((5, n))
+    np.add.at(band, (2 + i - j, j), a.data)
+    return band
 
 
 def build_hamiltonian(model, g: Contour):

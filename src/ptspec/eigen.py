@@ -4,13 +4,17 @@ The full spectrum comes from LAPACK's balanced Hessenberg-QR solver
 (scipy.linalg.eig) on the dense real form A = S* H S from
 build_hamiltonian, so every non-real eigenvalue comes with its exact
 conjugate and real ones have Im == 0; eigenvectors of H are v = S y.
-The lowest levels alone come from solve_lowest: ARPACK shift-invert on
-the sparse A, accepted only when a disc guard and a determinant-parity
-guard certify the window, with the dense solve as fallback.  Around them
-live reality/conjugate-pair classification, PT-defect of eigenvectors,
-scans that locate level crossings, and match_spectra, which sets the
-lowest real levels beside the closed form as the four float columns
-(numeric, analytic, abs_err, rel_err) that `ptspec verify` prints.
+The lowest levels alone come from one shift-invert window loop: ARPACK
+on the sparse A, with k doubled until a certificate accepts the window
+and the dense solve as fallback.  solve_lowest (`ptspec verify`)
+certifies its window with a disc guard and a determinant-parity guard;
+the scan family (`ptspec scan`) with count_missing, an argument-principle
+count on the folded band of A (contour.folded_band) whose determinants
+come from stacked banded LUs.  Around them live reality/conjugate-pair
+classification, PT-defect of eigenvectors, scans that locate level
+crossings, and match_spectra, which sets the lowest real levels beside
+the closed form as the four float columns (numeric, analytic, abs_err,
+rel_err) that `ptspec verify` prints.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +24,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .contour import build_hamiltonian, contour_for, real_form
+from .contour import build_hamiltonian, contour_for, folded_band, real_form
 from .exceptions import InsufficientLevels, NonConvergence
 from .models import PthoParams
 
@@ -32,6 +36,13 @@ DEFAULT_REALITY_TOL = 1e-7
 DEFAULT_SPURIOUS_FACTOR = 0.5
 DEFAULT_CROSSING_TOL = 1e-3
 BACKWARD_ERROR_TOL = 1e-10
+
+# argument-principle count (count_missing): starting segments per edge,
+# the most bisection rounds, and the stacked band rows per zgbtrf call,
+# which bound its memory
+MIN_SEGMENTS = 32
+MAX_BISECTIONS = 40
+LU_ROWS = 4096
 
 
 @dataclass
@@ -189,9 +200,8 @@ def solve_lowest(model, contour, count, reality_tol=DEFAULT_REALITY_TOL,
     """The lowest `count` real levels from a certified shift-invert window.
 
     ARPACK finds the k eigenvalues of the sparse real form A nearest to
-    sigma = min(Re V) - 1.  The symmetric part of A is -D2 + diag(Re V)
-    and its antidiagonal part is skew, so by Bendixson's theorem every
-    eigenvalue has Re > sigma.  The window is accepted only when
+    sigma = min(Re V) - 1, a strict lower bound on Re lambda (_shift).
+    The window is accepted only when
 
     * disc guard: with r the largest |lambda - sigma| returned, the
       values strictly inside the disc classify cleanly, and the
@@ -202,32 +212,61 @@ def solve_lowest(model, contour, count, reality_tol=DEFAULT_REALITY_TOL,
       1e-3 max(1, |top|).  A real matrix has this sign exactly, so an
       odd number of missed real levels below x cannot pass.
 
-    Otherwise, or when ARPACK fails to converge, k is doubled; once k
-    would reach N/2 the dense solve_spectrum answers instead.  The
-    result holds the classified window values (all values, if dense).
+    These two guards cost little next to the window.  The
+    argument-principle count that certifies scan windows (count_missing)
+    would add 0.9 to 2.5 times the whole solve on N = 512 to 1000 grids.
+    k starts at 2 count + 2.
+    The result holds the classified window values (all values, if the
+    dense solve_spectrum answers).
     """
     a = real_form(model, contour).tocsc()
-    n = a.shape[0]
-    # diag(A) = 2/h^2 + Re V; sigma needs to be a strict lower bound only
-    sigma = a.diagonal().min() - 2.0 / contour.gridstep ** 2 - 1.0
     cut = _spurious_cut(contour, spurious_factor)
-    k = 2 * count + 2
+    sigma = _shift(a.diagonal(), contour)
+    return _certified_window(
+        a, sigma, 2 * count + 2,
+        lambda values: _certify_window(a, values, sigma, count,
+                                       reality_tol, cut),
+        lambda: solve_spectrum(model, contour, reality_tol=reality_tol,
+                               spurious_factor=spurious_factor))
+
+
+def _shift(diagonal, g):
+    """sigma = min(Re V) - 1 from diag(A) = 2/h^2 + Re V.  The symmetric
+    part of A is -D2 + diag(Re V) >= min(Re V), so by Bendixson's theorem
+    every eigenvalue has Re > sigma."""
+    return diagonal.min() - 2.0 / g.gridstep ** 2 - 1.0
+
+
+def _certified_window(a, sigma, k, certify, dense):
+    """The one shift-invert window loop.  ARPACK returns the k eigenvalues
+    of the sparse `a` nearest to sigma, from a fixed start vector, so
+    every run gives the same window; certify(values) returns the result
+    or None.  When it returns None, or ARPACK fails to converge, k is
+    doubled; once 2k would reach N, dense() answers instead."""
+    n = a.shape[0]
     while 2 * k < n:
         try:
-            # fixed start vector: the same window on every run
             values = scipy.sparse.linalg.eigs(
                 a, k, sigma=sigma, v0=np.ones(n),
                 return_eigenvectors=False)
         except scipy.sparse.linalg.ArpackError:    # no convergence, mostly
             pass
         else:
-            result = _certify_window(a, values, sigma, count, reality_tol,
-                                     cut)
+            result = certify(values)
             if result is not None:
                 return result
         k *= 2
-    return solve_spectrum(model, contour, reality_tol=reality_tol,
-                          spurious_factor=spurious_factor)
+    return dense()
+
+
+def _gap_above(re, top):
+    """The midpoint of the first gap in the sorted real parts `re` at or
+    above `top` that is wider than 1e-3 max(1, |top|); None if none is."""
+    above = np.sort(re[re >= top])
+    wide = np.flatnonzero(np.diff(above) > 1e-3 * max(1.0, abs(top)))
+    if len(wide) == 0:
+        return None
+    return 0.5 * (above[wide[0]] + above[wide[0] + 1])
 
 
 def _certify_window(a, values, sigma, count, reality_tol, cut):
@@ -244,12 +283,9 @@ def _certify_window(a, values, sigma, count, reality_tol, cut):
     real = result.real_values()[:count]
     if len(real) < count:
         return None
-    top = real[-1]
-    above = np.sort(inside.real[inside.real >= top])
-    wide = np.flatnonzero(np.diff(above) > 1e-3 * max(1.0, abs(top)))
-    if len(wide) == 0:
+    x = _gap_above(inside.real, real[-1])
+    if x is None:
         return None
-    x = 0.5 * (above[wide[0]] + above[wide[0] + 1])
     below = np.count_nonzero((inside.imag == 0) & (inside.real < x))
     return result if _det_sign(a, x) == (-1) ** below else None
 
@@ -282,6 +318,125 @@ def _cycle_count(perm):
                 seen[j] = True
                 j = perm[j]
     return cycles
+
+
+def count_missing(band, sigma, x, window):
+    """Winding number of f(z) = det(A - z) / prod_w (w - z) around the
+    rectangle [sigma, x] x [-height, height], with A given by its folded
+    band (contour.folded_band) and w running over every value of
+    `window` and the conjugate of each one whose partner it lacks (A is
+    real, so that conjugate is an eigenvalue too).
+
+    height is ||K||_inf + 1 for the skew part K = (A - A^T)/2, here
+    antidiag(Im V), so max|Im V| + 1.  With sigma a strict lower bound
+    on Re lambda (Bendixson's theorem bounds |Im lambda| by ||K||_2 <=
+    ||K||_inf), the rectangle holds every eigenvalue with Re < x.  The
+    count is (eigenvalues inside) - (poles inside): 0 when the window
+    misses none.  Window values above x cancel the fast phase turn of
+    their eigenvalues where the right edge crosses the real axis.
+
+    With A real and the poles closed under conjugation, f(conj z) =
+    conj f(z), so the count is 1/pi times the turn of arg f along the
+    lower half of the rectangle, from sigma down, right and up to x; only
+    that half is evaluated.
+
+    Step rule: each edge of the whole rectangle starts as MIN_SEGMENTS
+    segments (MIN_SEGMENTS / 2 on each half edge), and a segment is
+    bisected until each of its halves changes log f by less than pi/4 in
+    size.  Each half then turns arg f by less than pi/4, and the two
+    halves add up to the whole step.  A half-step shows its true turn
+    only when that turn is below pi in size, and eigenvalues far to the
+    right turn the phase by tens of radians along an edge: with 8
+    segments per edge a half-step can turn a whole 2 pi further than it
+    shows, and complete windows were counted 4 or 8.  log|f| has no
+    2 pi ambiguity, so bounding its change as well keeps half-steps
+    short wherever a zero or pole lies close to the path.  A segment
+    still unresolved after MAX_BISECTIONS rounds, or a singular A - z on
+    the path, gives None.
+    """
+    height = _skew_norm(band) + 1.0
+    upper = np.unique(np.concatenate([window[window.imag > 0],
+                                      np.conj(window[window.imag < 0])]))
+    poles = np.concatenate([window[window.imag == 0], upper,
+                            np.conj(upper)])
+    half = MIN_SEGMENTS // 2
+    z = np.concatenate([
+        sigma - 1j * height * np.arange(half) / half,
+        np.linspace(sigma, x, MIN_SEGMENTS + 1)[:-1] - 1j * height,
+        x - 1j * height * np.arange(half, -1, -1) / half])
+
+    def log_f(z):
+        return (_log_det(band, z)
+                - np.log(poles[None, :] - z[:, None]).sum(axis=1))
+
+    f = log_f(z)
+    za, zb, fa, fb = z[:-1], z[1:], f[:-1], f[1:]
+    turn = 0.0
+    for _ in range(MAX_BISECTIONS):
+        if len(za) == 0:
+            return int(round(turn / np.pi))
+        zm = 0.5 * (za + zb)
+        fm = log_f(zm)
+        first, second = _log_step(fa, fm), _log_step(fm, fb)
+        done = (np.abs(first) < np.pi / 4) & (np.abs(second) < np.pi / 4)
+        turn += (first[done] + second[done]).imag.sum()
+        split = ~done
+        za, zb = (np.concatenate([za[split], zm[split]]),
+                  np.concatenate([zm[split], zb[split]]))
+        fa, fb = (np.concatenate([fa[split], fm[split]]),
+                  np.concatenate([fm[split], fb[split]]))
+    return None
+
+
+def _log_step(start, end):
+    """end - start for values of log f whose imaginary parts are known
+    modulo 2 pi: the turn is taken in [-pi, pi)."""
+    step = end - start
+    return step.real + 1j * ((step.imag + np.pi) % (2.0 * np.pi) - np.pi)
+
+
+def _skew_norm(band):
+    """||K||_inf of the skew part K = (A - A^T)/2 of the banded A."""
+    n = band.shape[1]
+    rows = np.zeros(n)
+    for d in (1, 2):
+        skew = np.abs(band[2 - d, d:] - band[2 + d, :n - d]) / 2.0
+        rows[:n - d] += skew
+        rows[d:] += skew
+    return rows.max()
+
+
+def _log_det(band, z):
+    """log det(A - z) = log|det| + i arg det for each z, A given by its
+    folded band; arg det is known modulo 2 pi.
+
+    The shifted bands for several z stand side by side as the blocks of
+    one band matrix with zero coupling, so partial pivoting never crosses
+    a block, and one zgbtrf call factors up to LU_ROWS rows of them.
+    P (A - z) = L U with a unit-diagonal L and P a product of one row
+    interchange per ipiv[j] != j (scipy returns ipiv 0-based), so
+    log det = sum log u_jj + i pi #{j : ipiv[j] != j}.  A singular
+    A - z gives -inf.
+    """
+    n = band.shape[1]
+    per_call = max(1, LU_ROWS // n)
+    stack = np.zeros((7, per_call * n), dtype=complex, order="F")
+    stack[2:] = np.tile(band, per_call)
+    out = np.empty(len(z), dtype=complex)
+    for start in range(0, len(z), per_call):
+        shifts = z[start:start + per_call]
+        m = len(shifts)
+        ab = stack[:, :m * n].copy(order="F")
+        ab[4] -= np.repeat(shifts, n)
+        lu, ipiv, _ = scipy.linalg.lapack.zgbtrf(ab, 2, 2, overwrite_ab=True)
+        u = lu[4]
+        swaps = np.count_nonzero((ipiv != np.arange(m * n)).reshape(m, n),
+                                 axis=1)
+        with np.errstate(divide="ignore"):
+            modulus = np.log(np.abs(u)).reshape(m, n).sum(axis=1)
+        out[start:start + m] = modulus + 1j * (
+            np.angle(u).reshape(m, n).sum(axis=1) + np.pi * swaps)
+    return out
 
 
 def match_spectra(numeric: SpectrumResult, analytic_levels, count):
@@ -404,9 +559,17 @@ def ptho_analytic_family(nmax=8):
     return spectrum
 
 
-def ptho_numeric_family(c=1.0, npoints=600, halfwidth=10.0,
+def ptho_numeric_family(c=1.0, npoints=600, halfwidth=10.0, levels=6,
                         spurious_factor=DEFAULT_SPURIOUS_FACTOR):
-    """Discretized oscillator family for scans.
+    """Discretized oscillator family for scans: alpha -> the retained
+    values below a certified x, at least `levels` of them when they exist.
+
+    Each point runs the shift-invert window loop of solve_lowest with
+    k = 2 levels + 4.  x is the midpoint of the first wide gap in real parts
+    at or above the levels-th window value (the rule of solve_lowest),
+    and the window is accepted when count_missing finds no eigenvalue
+    with Re < x missing from it; otherwise k doubles, and once 2k reaches
+    N the dense eigvals answers with every value.
 
     Only the spurious cutoff is applied; no reality/pair classification.
     Inside the tiny exceptional-point window around a crossing the
@@ -416,6 +579,19 @@ def ptho_numeric_family(c=1.0, npoints=600, halfwidth=10.0,
     def spectrum(alpha):
         model = PthoParams(alpha=alpha, c=c)
         g = contour_for(model, npoints=npoints, halfwidth=halfwidth)
-        values = eig_dense(build_hamiltonian(model, g)).eigenvalues
+        a = real_form(model, g)
+        band = folded_band(a)
+        a = a.tocsc()
+        sigma = _shift(band[2], g)
+
+        def certify(values):
+            x = _gap_above(values.real, np.sort(values.real)[levels - 1])
+            if x is None or count_missing(band, sigma, x, values) != 0:
+                return None
+            return values[values.real < x]
+
+        values = _certified_window(
+            a, sigma, 2 * levels + 4, certify,
+            lambda: eig_dense(a.toarray()).eigenvalues)
         return values[values.real <= _spurious_cut(g, spurious_factor)]
     return spectrum

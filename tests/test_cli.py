@@ -132,6 +132,12 @@ def valid_docs(draw):
     lo, hi = scan.get("lo", 0.5), scan.get("hi", 2.5)
     if lo >= hi:
         scan["hi"] = lo + 1.0
+    # verify.count and scan.levels may not exceed contour.npoints
+    need = max(doc.get(name, {}).get(key, DEFAULTS[name][key])
+               for name, key in (("verify", "count"), ("scan", "levels")))
+    contour = doc.get("contour", {})
+    if contour.get("npoints", DEFAULTS["contour"]["npoints"]) < need:
+        doc["contour"] = dict(contour, npoints=need)
     return doc
 
 
@@ -241,12 +247,18 @@ class TestExitCodes:
                           "contour": {"halfwidth": -3.0}}),
         ("spectrum", {"model": {"kind": 1}}),
         ("verify", {"model": {"alpha": 0.5, "shift": -1.0}}),
+        ("scan", {"contour": {"npoints": 40}, "scan": {"levels": 60}}),
+        ("verify", {"contour": {"npoints": 40}, "verify": {"count": 41}}),
+        ("verify", {"model": {"kind": "angular"}, "contour": {"npoints": 16},
+                    "verify": {"count": 17}}),
     ], ids=["lo-above-hi", "lo-equals-hi", "levels-0", "steps-1",
             "lo-negative", "lo-zero",
             "match-negative", "reality-negative", "spurious-negative",
             "index-negative", "qparity-0", "ptho-with-ell",
             "angular-with-alpha", "angular-with-halfwidth",
-            "kind-not-a-string", "shift-negative-at-half-alpha"])
+            "kind-not-a-string", "shift-negative-at-half-alpha",
+            "levels-above-npoints", "count-above-npoints",
+            "count-above-npoints-angular"])
     def test_out_of_range_exits_2(self, tmp_path, capsys, command, doc):
         code, out = run([command, "--config", write_config(tmp_path, doc)],
                         capsys)

@@ -9,6 +9,7 @@ import pytest
 import ptspec as ps
 import ptspec.contour
 from ptspec.cli import EXIT_SOLVER, main
+from ptspec.contour import folded_band, real_form
 from ptspec.exceptions import SingularPoint
 
 
@@ -193,6 +194,36 @@ class TestHamiltonian:
         assert np.array_equal(h.real, h.real[::-1, ::-1])
         assert np.array_equal(a, h.real + skew)
         assert np.array_equal(a, a.T[::-1, ::-1])
+
+    @pytest.mark.parametrize("model,npoints", [
+        (ps.PthoParams(1.5, 1.0), 16),
+        (ps.PthoParams(1.5, 1.0), 17),
+        (ps.PthoParams(0.35, 1.7), 40),
+        (ps.PthoParams(0.35, 1.7), 41),
+        (ps.AngularParams(ell=1.0, eps=0.1), 16),
+        (ps.AngularParams(ell=1.0, eps=0.1), 17),
+        (ps.AngularParams(ell=2.0, eps=0.15), 40),
+        (ps.AngularParams(ell=2.0, eps=0.15), 41),
+    ])
+    def test_folded_band_is_the_permuted_real_form(self, model, npoints):
+        # in the order (0, N-1, 1, N-2, ...) every entry of A, the
+        # periodic corners and the middle rows included, lies at most two
+        # places off the diagonal; band[2 + i - j, j] holds entry (i, j)
+        g = ps.contour_for(model, npoints=npoints, halfwidth=8.0)
+        a = ps.build_hamiltonian(model, g)
+        band = folded_band(real_form(model, g))
+        order = [k for pair in zip(range(npoints), range(npoints - 1, -1, -1))
+                 for k in pair][:npoints]
+        assert sorted(order) == list(range(npoints))
+        folded = a[np.ix_(order, order)]
+        rebuilt = np.zeros_like(folded)
+        for d in range(-2, 3):
+            rebuilt += np.diag(band[2 - d, max(d, 0):npoints + min(d, 0)], d)
+        assert band.shape == (5, npoints) and band.dtype == np.float64
+        assert np.array_equal(rebuilt, folded)
+        # the band's corners outside the matrix stay empty
+        outside = [band[0, :2], band[1, :1], band[3, -1:], band[4, -2:]]
+        assert not np.concatenate(outside).any()
 
     def test_non_pt_potential_rejected_before_allocation(self, monkeypatch):
         # the dense assembly and the sparse window solve both check first

@@ -10,8 +10,10 @@ import scipy.sparse.linalg
 
 import ptspec as ps
 from ptspec.cli import _analytic_levels
-from ptspec.contour import real_form
-from ptspec.eigen import PAIR, REAL, SPURIOUS, _det_sign
+import ptspec.eigen
+from ptspec.contour import folded_band, real_form
+from ptspec.eigen import (PAIR, REAL, SPURIOUS, _det_sign, _gap_above,
+                          _log_det, _shift, _spurious_cut, count_missing)
 from ptspec.exceptions import InsufficientLevels
 
 from test_contour import complex_stencil
@@ -495,3 +497,211 @@ class TestSolveLowest:
         dense = ps.solve_spectrum(model, g, spurious_factor=factor)
         assert len(win.real_values()) == len(dense.real_values()) < count
         assert np.array_equal(win.eigenvalues, dense.eigenvalues)
+
+
+def scan_window(model, g, levels):
+    """The first window of ptho_numeric_family: (band, sigma, x, values)
+    for k = 2 levels + 4, with x in the first wide gap at or above the
+    levels-th value."""
+    a = real_form(model, g)
+    band = folded_band(a)
+    sigma = _shift(band[2], g)
+    values = scipy.sparse.linalg.eigs(a.tocsc(), 2 * levels + 4,
+                                      sigma=sigma, v0=np.ones(g.npoints),
+                                      return_eigenvectors=False)
+    x = _gap_above(values.real, np.sort(values.real)[levels - 1])
+    return band, sigma, x, values
+
+
+SMALL_MODELS = [(ps.PthoParams(1.5, 1.0), 40), (ps.PthoParams(1.0, 1.2), 41),
+                (ps.PthoParams(0.35, 1.7), 48),
+                (ps.AngularParams(ell=1.0, eps=0.1), 40),
+                (ps.AngularParams(ell=2.0, eps=0.15), 41)]
+
+
+class TestCountMissing:
+    """The argument-principle count on the folded band."""
+
+    @pytest.mark.parametrize("model,npoints", SMALL_MODELS)
+    def test_log_det_matches_slogdet(self, model, npoints):
+        # both halves of the rectangle, the real axis and a point on the
+        # spectrum's scale; pivoting swaps rows in some blocks, not others
+        g = ps.contour_for(model, npoints=npoints, halfwidth=8.0)
+        a = ps.build_hamiltonian(model, g)
+        z = np.array([-3.0, 0.7, 5.0 - 2.0j, 11.0 + 0.5j, 40.0 - 9.0j,
+                      2.0 + 30.0j, 200.0 - 1e-3j])
+        got = _log_det(folded_band(real_form(model, g)), z)
+        for zi, log_det in zip(z, got):
+            sign, logabs = np.linalg.slogdet(a - zi * np.eye(npoints))
+            assert log_det.real == pytest.approx(logabs, rel=1e-12)
+            assert abs(np.exp(1j * log_det.imag) - sign) <= 1e-10
+
+    def test_log_det_stacks_many_blocks(self, monkeypatch):
+        # more shifts than fit in one call, a last call with fewer blocks
+        # than the others, and one call per shift: the same answers
+        model = ps.PthoParams(1.5, 1.0)
+        g = ps.contour_for(model, npoints=40, halfwidth=8.0)
+        band = folded_band(real_form(model, g))
+        z = np.linspace(-2.0, 60.0, 23) - np.linspace(0.0, 9.0, 23) * 1j
+        stacked = _log_det(band, z)
+        monkeypatch.setattr(ptspec.eigen, "LU_ROWS", 40 * 5)
+        assert _log_det(band, z) == pytest.approx(stacked, rel=1e-13)
+        single = np.array([_log_det(band, z[i:i + 1])[0] for i in range(23)])
+        assert np.array_equal(stacked, single)
+
+    @pytest.mark.parametrize("model,npoints", SMALL_MODELS)
+    def test_count_matches_dense_eigenvalues(self, model, npoints):
+        # windows cut from the dense spectrum at a gap: complete, missing
+        # one real level, missing a conjugate pair, with values above x
+        # and without
+        g = ps.contour_for(model, npoints=npoints, halfwidth=8.0)
+        a = real_form(model, g)
+        band = folded_band(a)
+        sigma = _shift(band[2], g)
+        ev = np.linalg.eigvals(a.toarray())
+        ev = ev[np.lexsort((ev.imag, ev.real))]
+        checked = 0
+        for levels in (1, 3, 6, 9):
+            x = _gap_above(ev.real, ev.real[levels - 1])
+            inside = ev[ev.real < x]
+            for window in (ev[:levels + 6], inside, inside[1:],
+                           np.delete(ev[:levels + 6], np.flatnonzero(
+                               ev[:levels + 6].imag != 0)[:2])):
+                poles = window[window.real < x]
+                expected = len(inside) - len(poles)
+                closed = np.array_equal(np.sort_complex(window),
+                                        np.sort_complex(window.conj()))
+                if closed:
+                    assert count_missing(band, sigma, x, window) == expected
+                    checked += 1
+        assert checked >= 8
+
+    @pytest.mark.parametrize("model,npoints,halfwidth,levels", [
+        (ps.PthoParams(0.7, 1.0), 200, 8.0, 4),
+        (ps.PthoParams(1.6, 1.6), 200, 8.0, 4),
+        (ps.PthoParams(1.0, 1.0), 600, 10.0, 6),
+        (ps.PthoParams(2.0, 1.0), 600, 10.0, 6),
+        (ps.AngularParams(ell=1.0, eps=0.1), 512, None, 8),
+    ])
+    def test_dropping_values_counts_them(self, model, npoints, halfwidth,
+                                         levels):
+        # a complete window counts 0; without its lowest value +1, and
+        # without a conjugate pair below x +2 (at alpha = 1 the double
+        # levels are such pairs)
+        g = ps.contour_for(model, npoints=npoints,
+                           **({"halfwidth": halfwidth} if halfwidth else {}))
+        band, sigma, x, values = scan_window(model, g, levels)
+        assert count_missing(band, sigma, x, values) == 0
+        lowest = np.argmin(values.real)
+        assert count_missing(band, sigma, x, np.delete(values, lowest)) == 1
+        pair = np.flatnonzero((values.imag != 0) & (values.real < x))
+        if len(pair):
+            partner = np.flatnonzero(values == np.conj(values[pair[0]]))
+            dropped = np.delete(values, [pair[0], partner[0]])
+            assert count_missing(band, sigma, x, dropped) == 2
+
+    @pytest.mark.parametrize("model,npoints,halfwidth,levels", [
+        # bench-sized and larger grids, among them windows that 8
+        # starting segments per edge miscount by 4 or -4
+        (ps.PthoParams(1.025, 1.8), 200, 8.0, 4),
+        (ps.PthoParams(0.35, 1.2), 600, 12.0, 6),
+        (ps.AngularParams(ell=2.0, eps=0.1), 512, None, 8),
+        (ps.PthoParams(2.78, 1.5), 276, 10.0, 5),
+        (ps.PthoParams(2.44, 1.37), 234, 12.0, 3),
+        (ps.PthoParams(2.9, 1.26), 394, 12.0, 2),
+    ])
+    def test_complete_windows_count_zero(self, model, npoints, halfwidth,
+                                         levels):
+        g = ps.contour_for(model, npoints=npoints,
+                           **({"halfwidth": halfwidth} if halfwidth else {}))
+        band, sigma, x, values = scan_window(model, g, levels)
+        assert count_missing(band, sigma, x, values) == 0
+
+
+def dense_family(c, npoints, halfwidth):
+    """The oscillator family from the dense eigvals, with the spurious
+    cut of ptho_numeric_family."""
+    def spectrum(alpha):
+        model = ps.PthoParams(alpha=alpha, c=c)
+        g = ps.contour_for(model, npoints=npoints, halfwidth=halfwidth)
+        values = ps.eig_dense(ps.build_hamiltonian(model, g)).eigenvalues
+        return values[values.real <= _spurious_cut(g, 0.5)]
+    return spectrum
+
+
+def lowest(values, levels):
+    values = np.asarray(values)
+    return values[np.lexsort((values.imag, values.real))][:levels]
+
+
+class TestNumericFamily:
+    """ptho_numeric_family: certified windows against the dense solve."""
+
+    @staticmethod
+    def count_dense(monkeypatch):
+        calls = []
+        original = ptspec.eigen.eig_dense
+
+        def eig_dense(m, **kwargs):
+            calls.append(m.shape[0])
+            return original(m, **kwargs)
+        monkeypatch.setattr(ptspec.eigen, "eig_dense", eig_dense)
+        return calls
+
+    @pytest.mark.parametrize("c,npoints,halfwidth,levels,alphas", [
+        (0.7, 200, 8.0, 4, np.linspace(0.55, 2.45, 9)),
+        (1.6, 200, 8.0, 4, np.linspace(0.55, 2.45, 9)),
+        (1.0, 600, 10.0, 6, [1.0, 2.0]),
+    ])
+    def test_window_matches_dense(self, monkeypatch, c, npoints, halfwidth,
+                                  levels, alphas):
+        # the bench sweeps, and the exceptional points at alpha = 1, 2,
+        # where the crossing levels are conjugate pairs
+        dense = dense_family(c, npoints, halfwidth)
+        calls = self.count_dense(monkeypatch)
+        family = ps.ptho_numeric_family(c=c, npoints=npoints,
+                                        halfwidth=halfwidth, levels=levels)
+        for alpha in alphas:
+            window = lowest(family(float(alpha)), levels)
+            assert len(window) == levels
+            assert np.abs(window - lowest(dense(float(alpha)),
+                                          levels)).max() <= 1e-8
+            if alpha == 1.0:       # inside the exceptional-point window
+                assert np.count_nonzero(window.imag) >= 2
+        assert calls == []                  # no dense fallback
+
+    def test_small_grid_takes_the_dense_path(self, monkeypatch):
+        # k = 2 * 8 + 4 = 20 and 2k >= N = 40: the dense eigvals answers
+        calls = self.count_dense(monkeypatch)
+        family = ps.ptho_numeric_family(c=1.0, npoints=40, halfwidth=8.0,
+                                        levels=8)
+        got = family(1.5)
+        assert calls == [40]
+        assert np.array_equal(got, dense_family(1.0, 40, 8.0)(1.5))
+
+    def test_incomplete_window_doubles_k_then_falls_back(self, monkeypatch):
+        # ARPACK's answer without its lowest value never certifies, so k
+        # doubles while 2k < N and the dense solve answers
+        original = scipy.sparse.linalg.eigs
+        ks = []
+
+        def eigs(a, k, **kwargs):
+            ks.append(k)
+            values = original(a, k, **kwargs)
+            return np.delete(values, np.argmin(values.real))
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", eigs)
+        calls = self.count_dense(monkeypatch)
+        family = ps.ptho_numeric_family(c=1.0, npoints=200, halfwidth=8.0,
+                                        levels=4)
+        got = family(1.5)
+        assert ks == [12, 24, 48, 96] and calls == [200]
+        assert np.array_equal(got, dense_family(1.0, 200, 8.0)(1.5))
+
+    def test_sweep_is_deterministic(self):
+        family = ps.ptho_numeric_family(c=1.6, npoints=200, halfwidth=8.0,
+                                        levels=4)
+        first = ps.scan_parameter(family, 0.55, 2.45, 9, 4)
+        second = ps.scan_parameter(family, 0.55, 2.45, 9, 4)
+        for e1, e2 in zip(first.energies, second.energies):
+            assert np.array_equal(e1, e2)
+        assert first.crossings == second.crossings
