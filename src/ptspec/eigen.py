@@ -6,11 +6,12 @@ build_hamiltonian, so every non-real eigenvalue comes with its exact
 conjugate and real ones have Im == 0; eigenvectors of H are v = S y.
 The lowest levels alone come from one shift-invert window loop: ARPACK
 on the sparse A, with k doubled until a certificate accepts the window
-and the dense solve as fallback.  solve_lowest (`ptspec verify`)
-certifies its window with a disc guard and a determinant-parity guard;
-the scan family (`ptspec scan`) with count_missing, an argument-principle
-count on the folded band of A (contour.folded_band) whose determinants
-come from stacked banded LUs.  Around them live reality/conjugate-pair
+and the dense solve as fallback.  Both certificates read det(A - z)
+from _log_det, banded LUs of the folded band of A (contour.folded_band).
+solve_lowest (`ptspec verify`) certifies its window with a disc guard
+and a determinant-parity guard at one real z; the scan family
+(`ptspec scan`) with count_missing, an argument-principle count around
+a rectangle.  Around them live reality/conjugate-pair
 classification, PT-defect of eigenvectors, scans that locate level
 crossings, and match_spectra, which sets the lowest real levels beside
 the closed form as the four float columns (numeric, analytic, abs_err,
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .contour import build_hamiltonian, contour_for, folded_band, real_form
@@ -206,11 +206,13 @@ def solve_lowest(model, contour, count, reality_tol=DEFAULT_REALITY_TOL,
     * disc guard: with r the largest |lambda - sigma| returned, the
       values strictly inside the disc classify cleanly, and the
       count-th real level among them, `top`, has top - sigma < r;
-    * parity guard: the sign of det(A - xI), from a sparse LU, equals
+    * parity guard: A - xI is nonsingular and the sign of its
+      determinant, from the banded LU of _log_det, equals
       (-1)^(number of exactly real window values below x), where x is
       the midpoint of the first gap above `top` wider than
-      1e-3 max(1, |top|).  A real matrix has this sign exactly, so an
-      odd number of missed real levels below x cannot pass.
+      1e-3 max(1, |top|).  A - xI is real, so arg det is exactly 0 or
+      pi modulo 2 pi, and an odd number of missed real levels below x
+      cannot pass.
 
     These two guards cost little next to the window.  The
     argument-principle count that certifies scan windows (count_missing)
@@ -219,13 +221,11 @@ def solve_lowest(model, contour, count, reality_tol=DEFAULT_REALITY_TOL,
     The result holds the classified window values (all values, if the
     dense solve_spectrum answers).
     """
-    a = real_form(model, contour).tocsc()
     cut = _spurious_cut(contour, spurious_factor)
-    sigma = _shift(a.diagonal(), contour)
     return _certified_window(
-        a, sigma, 2 * count + 2,
-        lambda values: _certify_window(a, values, sigma, count,
-                                       reality_tol, cut),
+        model, contour, 2 * count + 2,
+        lambda band, sigma, values: _certify_window(
+            band, sigma, values, count, reality_tol, cut),
         lambda: solve_spectrum(model, contour, reality_tol=reality_tol,
                                spurious_factor=spurious_factor))
 
@@ -237,13 +237,20 @@ def _shift(diagonal, g):
     return diagonal.min() - 2.0 / g.gridstep ** 2 - 1.0
 
 
-def _certified_window(a, sigma, k, certify, dense):
-    """The one shift-invert window loop.  ARPACK returns the k eigenvalues
-    of the sparse `a` nearest to sigma, from a fixed start vector, so
-    every run gives the same window; certify(values) returns the result
-    or None.  When it returns None, or ARPACK fails to converge, k is
-    doubled; once 2k would reach N, dense() answers instead."""
-    n = a.shape[0]
+def _certified_window(model, g, k, certify, dense):
+    """The one shift-invert window loop.  The real form A of the model on
+    g is assembled once, as its folded band (contour.folded_band) for the
+    certificates and as a sparse CSC array for ARPACK, and sigma is
+    _shift of the band's diagonal.  ARPACK returns the k eigenvalues of A
+    nearest to sigma, from a fixed start vector, so every run gives the
+    same window; certify(band, sigma, values) returns the result or None.
+    When it returns None, or ARPACK fails to converge, k is doubled; once
+    2k would reach N, dense() answers instead."""
+    a = real_form(model, g)
+    band = folded_band(a)
+    sigma = _shift(band[2], g)
+    a = a.tocsc()
+    n = g.npoints
     while 2 * k < n:
         try:
             values = scipy.sparse.linalg.eigs(
@@ -252,7 +259,7 @@ def _certified_window(a, sigma, k, certify, dense):
         except scipy.sparse.linalg.ArpackError:    # no convergence, mostly
             pass
         else:
-            result = certify(values)
+            result = certify(band, sigma, values)
             if result is not None:
                 return result
         k *= 2
@@ -269,7 +276,7 @@ def _gap_above(re, top):
     return 0.5 * (above[wide[0]] + above[wide[0] + 1])
 
 
-def _certify_window(a, values, sigma, count, reality_tol, cut):
+def _certify_window(band, sigma, values, count, reality_tol, cut):
     """The classified window, or None when a guard of solve_lowest fails."""
     dist = np.abs(values - sigma)
     inside = values[dist < dist.max()]
@@ -286,38 +293,11 @@ def _certify_window(a, values, sigma, count, reality_tol, cut):
     x = _gap_above(inside.real, real[-1])
     if x is None:
         return None
+    log_det = _log_det(band, np.array([x]))[0]
+    if log_det.real == -np.inf:         # A - x is singular
+        return None
     below = np.count_nonzero((inside.imag == 0) & (inside.real < x))
-    return result if _det_sign(a, x) == (-1) ** below else None
-
-
-def _det_sign(a, x):
-    """Sign of det(A - xI) from a sparse LU: Pr (A - xI) Pc = L U with a
-    unit-diagonal L, so the sign is that of prod(diag U) times the
-    parities of the two permutations.  0 for a singular matrix."""
-    try:
-        lu = scipy.sparse.linalg.splu(
-            a - x * scipy.sparse.identity(a.shape[0], format="csc"))
-    except RuntimeError:                # exactly singular
-        return 0
-    flips = np.count_nonzero(lu.U.diagonal() < 0)
-    for perm in (lu.perm_r, lu.perm_c):
-        flips += len(perm) - _cycle_count(perm)
-    return -1 if flips % 2 else 1
-
-
-def _cycle_count(perm):
-    """Number of cycles of a permutation of range(len(perm))."""
-    perm = perm.tolist()                # Python ints: a faster walk
-    seen = [False] * len(perm)
-    cycles = 0
-    for start in range(len(perm)):
-        if not seen[start]:
-            cycles += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-    return cycles
+    return result if round(log_det.imag / np.pi) % 2 == below % 2 else None
 
 
 def count_missing(band, sigma, x, window):
@@ -419,7 +399,7 @@ def _log_det(band, z):
     A - z gives -inf.
     """
     n = band.shape[1]
-    per_call = max(1, LU_ROWS // n)
+    per_call = max(1, min(len(z), LU_ROWS // n))
     stack = np.zeros((7, per_call * n), dtype=complex, order="F")
     stack[2:] = np.tile(band, per_call)
     out = np.empty(len(z), dtype=complex)
@@ -579,19 +559,15 @@ def ptho_numeric_family(c=1.0, npoints=600, halfwidth=10.0, levels=6,
     def spectrum(alpha):
         model = PthoParams(alpha=alpha, c=c)
         g = contour_for(model, npoints=npoints, halfwidth=halfwidth)
-        a = real_form(model, g)
-        band = folded_band(a)
-        a = a.tocsc()
-        sigma = _shift(band[2], g)
 
-        def certify(values):
+        def certify(band, sigma, values):
             x = _gap_above(values.real, np.sort(values.real)[levels - 1])
             if x is None or count_missing(band, sigma, x, values) != 0:
                 return None
             return values[values.real < x]
 
         values = _certified_window(
-            a, sigma, 2 * levels + 4, certify,
-            lambda: eig_dense(a.toarray()).eigenvalues)
+            model, g, 2 * levels + 4, certify,
+            lambda: eig_dense(build_hamiltonian(model, g)).eigenvalues)
         return values[values.real <= _spurious_cut(g, spurious_factor)]
     return spectrum

@@ -1,5 +1,6 @@
-"""Shared fixtures: the expensive dense solves are computed once per
-session and reused by the acceptance criteria."""
+"""Shared fixtures: the solves are computed once per session and reused
+by the acceptance criteria.  Runs that need eigenvectors solve densely;
+eigenvalue-only runs take the lowest levels from a certified window."""
 
 import numpy as np
 import pytest
@@ -18,35 +19,40 @@ ANGULAR_EPS = 0.1
 ANGULAR_REALITY_TOL = 1e-4
 
 
-def solve_ptho(alpha, c, npoints, want_vectors=False):
+# levels taken from each eigenvalue-only window; the criteria use 7 or 8
+LOWEST = 8
+
+
+def ptho_grid(alpha, c, npoints):
     model = ps.PthoParams(alpha=alpha, c=c)
-    g = ps.contour_for(model, npoints=npoints, halfwidth=PTHO_HALFWIDTH)
-    return ps.solve_spectrum(model, g, want_vectors=want_vectors)
+    return model, ps.contour_for(model, npoints=npoints,
+                                 halfwidth=PTHO_HALFWIDTH)
 
 
 @pytest.fixture(scope="session")
 def ptho_2000():
-    return solve_ptho(PTHO_ALPHA, PTHO_C, 2000, want_vectors=True)
+    return ps.solve_spectrum(*ptho_grid(PTHO_ALPHA, PTHO_C, 2000),
+                             want_vectors=True)
 
 
 @pytest.fixture(scope="session")
 def ptho_1000():
-    return solve_ptho(PTHO_ALPHA, PTHO_C, 1000)
+    return ps.solve_lowest(*ptho_grid(PTHO_ALPHA, PTHO_C, 1000), LOWEST)
 
 
 @pytest.fixture(scope="session")
 def ptho_2000_c05():
-    return solve_ptho(PTHO_ALPHA, 0.5, 2000)
+    return ps.solve_lowest(*ptho_grid(PTHO_ALPHA, 0.5, 2000), LOWEST)
 
 
 @pytest.fixture(scope="session")
 def ptho_2000_c20():
-    return solve_ptho(PTHO_ALPHA, 2.0, 2000)
+    return ps.solve_lowest(*ptho_grid(PTHO_ALPHA, 2.0, 2000), LOWEST)
 
 
 @pytest.fixture(scope="session")
 def ptho_harmonic():
-    return solve_ptho(0.5, 1.0, 2000)
+    return ps.solve_lowest(*ptho_grid(0.5, 1.0, 2000), LOWEST)
 
 
 @pytest.fixture(scope="session")

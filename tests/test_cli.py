@@ -7,6 +7,7 @@ import io
 import json
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import ptspec.cli
 from ptspec.cli import (BLOCK_ROWS, DEFAULTS, EXIT_CONFIG, EXIT_OK,
                         EXIT_SOLVER, EXIT_VERIFY_FAIL, MAX_ROWS, MODEL_KEYS,
-                        ConfigError, RunConfig, _render, _tokens,
-                        build_parser, fmt, fnum, main)
+                        ConfigError, RunConfig, _analytic_levels, _render,
+                        _tokens, build_parser, fmt, fnum, main)
 from ptspec.exceptions import DomainError
+from ptspec.models import (AngularParams, PthoParams, ptho_levels,
+                           termination_levels)
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -193,6 +196,21 @@ class TestExitCodes:
         })
         assert main(["wavefunction", "--config", cfg]) == EXIT_CONFIG
         capsys.readouterr()
+
+    @pytest.mark.parametrize("model", [{"ell": 1.5},
+                                       {"ell": 1.0, "lambda": 0.5}])
+    def test_verify_without_closed_form_exits_2_before_numerics(
+            self, tmp_path, capsys, monkeypatch, model):
+        def never(*args, **kwargs):
+            raise AssertionError("solve_lowest ran")
+        monkeypatch.setattr(ptspec.cli, "solve_lowest", never)
+        cfg = write_config(tmp_path, {
+            "model": {"kind": "angular", "shift": 0.1, **model},
+            "contour": {"npoints": 64}})
+        code = main(["verify", "--config", cfg])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG and captured.out == ""
+        assert "closed forms require" in captured.err
 
     @pytest.mark.parametrize("section,key", FIELDS[int])
     def test_non_integer_field_exits_2(self, tmp_path, capsys, section, key):
@@ -439,6 +457,34 @@ class TestVerifyCommand:
             verdict += f" worst_rel_err={fmt(worst)}"
         expected = [f"# insufficient real levels ({rows} < {count})"] * short
         assert got == code and comments == expected + [verdict]
+
+    @pytest.mark.parametrize("model", [
+        PthoParams(0.35, 1.0), PthoParams(2.55, 1.0), PthoParams(7.5, 1.0),
+        AngularParams(ell=0.0, eps=0.1), AngularParams(ell=1.0, eps=0.1),
+        AngularParams(ell=2.0, eps=0.1), AngularParams(ell=5.0, eps=0.1),
+        AngularParams(ell=12.0, eps=0.1)])
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_analytic_levels_hold_the_lowest(self, model, count):
+        # the same lowest energies as both whole ladders, deep enough
+        depth = count + int(model.alpha) + 2
+        full = (ptho_levels(model, depth) if isinstance(model, PthoParams)
+                else termination_levels(model, depth))
+        lowest = np.sort([lv.energy for lv in full])[:count]
+        got = np.sort([lv.energy for lv in _analytic_levels(model, count)])
+        assert np.array_equal(got[:count], lowest)
+
+    @pytest.mark.parametrize("model,lowest", [
+        (PthoParams(1e9, 1.0), [4.0 * n + 2.0 - 2e9 for n in range(8)]),
+        (AngularParams(ell=1e9, eps=0.1), [0, 1, 1, 4, 4, 9, 9, 16])])
+    def test_analytic_levels_do_not_grow_with_the_coupling(self, model,
+                                                           lowest):
+        # enumerating every index up to alpha would take hours at 1e9
+        start = time.perf_counter()
+        levels = _analytic_levels(model, 8)
+        assert time.perf_counter() - start < 1.0
+        assert len(levels) <= 4 * 8
+        got = np.sort([lv.energy for lv in levels])[:8]
+        assert np.array_equal(got, lowest)
 
 
 class TestVerifyWindow:

@@ -12,8 +12,8 @@ import ptspec as ps
 from ptspec.cli import _analytic_levels
 import ptspec.eigen
 from ptspec.contour import folded_band, real_form
-from ptspec.eigen import (PAIR, REAL, SPURIOUS, _det_sign, _gap_above,
-                          _log_det, _shift, _spurious_cut, count_missing)
+from ptspec.eigen import (PAIR, REAL, SPURIOUS, _gap_above, _log_det, _shift,
+                          _spurious_cut, count_missing)
 from ptspec.exceptions import InsufficientLevels
 
 from test_contour import complex_stencil
@@ -401,16 +401,6 @@ class TestSolveLowest:
         assert (np.all(ps.match_spectra(win, levels, 8)[-1] <= 1e-3)
                 == np.all(ps.match_spectra(dense, levels, 8)[-1] <= 1e-3))
 
-    @pytest.mark.parametrize("model", [ps.PthoParams(1.5, 1.0),
-                                       ps.AngularParams(ell=1.0, eps=0.1)])
-    def test_det_sign_matches_dense_determinant(self, model):
-        g = ps.contour_for(model, npoints=41)
-        a = real_form(model, g).tocsc()
-        dense = a.toarray()
-        for x in (-5.0, 0.5, 2.0, 4.0, 10.0, 30.0):
-            sign, _ = np.linalg.slogdet(dense - x * np.eye(41))
-            assert _det_sign(a, x) == sign
-
     def test_deterministic(self):
         model = ps.AngularParams(ell=2.0, eps=0.12)
         g = ps.contour_for(model, npoints=300)
@@ -525,16 +515,21 @@ class TestCountMissing:
     @pytest.mark.parametrize("model,npoints", SMALL_MODELS)
     def test_log_det_matches_slogdet(self, model, npoints):
         # both halves of the rectangle, the real axis and a point on the
-        # spectrum's scale; pivoting swaps rows in some blocks, not others
+        # spectrum's scale; pivoting swaps rows in some blocks, not others.
+        # At a real shift, as in solve_lowest's parity guard, arg det is
+        # a whole multiple of pi and gives the sign exactly
         g = ps.contour_for(model, npoints=npoints, halfwidth=8.0)
         a = ps.build_hamiltonian(model, g)
-        z = np.array([-3.0, 0.7, 5.0 - 2.0j, 11.0 + 0.5j, 40.0 - 9.0j,
-                      2.0 + 30.0j, 200.0 - 1e-3j])
+        real = [-5.0, -3.0, 0.5, 0.7, 2.0, 4.0, 10.0, 30.0]
+        z = np.array(real + [5.0 - 2.0j, 11.0 + 0.5j, 40.0 - 9.0j,
+                             2.0 + 30.0j, 200.0 - 1e-3j])
         got = _log_det(folded_band(real_form(model, g)), z)
         for zi, log_det in zip(z, got):
             sign, logabs = np.linalg.slogdet(a - zi * np.eye(npoints))
             assert log_det.real == pytest.approx(logabs, rel=1e-12)
             assert abs(np.exp(1j * log_det.imag) - sign) <= 1e-10
+            if zi.imag == 0:
+                assert (-1) ** round(log_det.imag / np.pi) == sign
 
     def test_log_det_stacks_many_blocks(self, monkeypatch):
         # more shifts than fit in one call, a last call with fewer blocks
