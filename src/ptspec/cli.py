@@ -46,8 +46,7 @@ import numpy as np
 from . import __version__
 from .contour import (DEFAULT_HALFWIDTH, MAX_POINTS, contour_for,
                       grid_points)
-from .eigen import (DEFAULT_CROSSING_TOL, DEFAULT_REALITY_TOL,
-                    DEFAULT_SPURIOUS_FACTOR, match_spectra,
+from .eigen import (DEFAULT_CROSSING_TOL, DEFAULT_REALITY_TOL, match_spectra,
                     ptho_numeric_family, scan_parameter, solve_lowest,
                     solve_spectrum)
 from .exceptions import NonConvergence, UnsupportedModel
@@ -62,8 +61,8 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY_FAIL = 4
 
-# Largest wavefunction grid, one table row per point: far above any useful
-# tabulation, it keeps a mistyped npoints from allocating gigabytes.
+# Largest wavefunction grid and scan table (steps * levels rows): far above
+# any useful tabulation, it keeps a mistyped size from allocating gigabytes.
 MAX_ROWS = 2 ** 20
 
 # Rows rendered at a time: bounds the memory the cell tokens take.
@@ -100,7 +99,6 @@ DEFAULTS = {
               "shift": 1.0},
     "contour": {"npoints": 2000, "halfwidth": DEFAULT_HALFWIDTH},
     "tolerances": {"reality": DEFAULT_REALITY_TOL,
-                   "spurious_factor": DEFAULT_SPURIOUS_FACTOR,
                    "crossing": DEFAULT_CROSSING_TOL,
                    "match": 1e-3},
     "scan": {"lo": 0.5, "hi": 2.5, "steps": 41, "levels": 6},
@@ -140,6 +138,8 @@ def _check_bounds(cfg):
              f"verify.count must not exceed contour.npoints ({npoints}): "
              "the grid has no more levels"),
             (sc["steps"] >= 2, "scan.steps must be at least 2"),
+            (sc["steps"] * sc["levels"] <= MAX_ROWS,
+             f"scan.steps * scan.levels must not exceed {MAX_ROWS} rows"),
             (sc["levels"] >= 2, "scan.levels must be at least 2"),
             (sc["levels"] <= npoints,
              f"scan.levels must not exceed contour.npoints ({npoints}): "
@@ -300,10 +300,8 @@ def _analytic_levels(model, count):
 # list of strings.
 
 def cmd_spectrum(cfg, model, g):
-    tol = cfg.tolerances
     result = solve_spectrum(model, g, want_vectors=True,
-                            reality_tol=tol["reality"],
-                            spurious_factor=tol["spurious_factor"])
+                            reality_tol=cfg.tolerances["reality"])
     ev = result.eigenvalues
     table = [np.arange(len(ev)), ev.real, ev.imag,
              list(result.classifications), np.asarray(result.pt_defects)]
@@ -316,8 +314,7 @@ def cmd_verify(cfg, model, g):
     count = cfg.verify["count"]
     # the closed form first: a model without one exits before the solve
     levels = _analytic_levels(model, count)
-    result = solve_lowest(model, g, count, reality_tol=tol["reality"],
-                          spurious_factor=tol["spurious_factor"])
+    result = solve_lowest(model, g, count, reality_tol=tol["reality"])
     columns = match_spectra(result, levels, count)
     n, rel_err = len(columns[0]), columns[-1]
     passed = bool(n == count and np.all(rel_err <= tol["match"]))
@@ -338,8 +335,7 @@ def cmd_scan(cfg, model, g):
     sc = cfg.scan
     family = ptho_numeric_family(
         c=model.c, npoints=g.npoints, halfwidth=g.halfwidth,
-        levels=sc["levels"],
-        spurious_factor=cfg.tolerances["spurious_factor"])
+        levels=sc["levels"])
     scan = scan_parameter(family, sc["lo"], sc["hi"], sc["steps"],
                           sc["levels"],
                           crossing_tol=cfg.tolerances["crossing"])
@@ -398,19 +394,22 @@ def build_parser():
 
 
 def _writable(path):
-    """Whether `path` can be written as the output file: it is not a
-    directory, and its parent is an existing, writable directory."""
-    parent = os.path.dirname(path) or "."
-    return (not os.path.isdir(path) and os.path.isdir(parent)
-            and os.access(parent, os.W_OK))
+    """Whether `path` can be written as the output file: an existing file
+    that is writable, or a new name in an existing, writable directory.
+    A symbolic link is judged by its target."""
+    path = os.path.realpath(path)
+    if os.path.exists(path):
+        return not os.path.isdir(path) and os.access(path, os.W_OK)
+    parent = os.path.dirname(path)      # realpath is absolute
+    return os.path.isdir(parent) and os.access(parent, os.W_OK)
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.out and not _writable(args.out):
-            raise ConfigError(f"--out {args.out!r} is a directory or lies "
-                              "in a missing or read-only directory")
+            raise ConfigError(f"--out {args.out!r} is a directory, a read-only"
+                              " file, or in a missing or read-only directory")
         cfg = load_config(args.config)
         model, g = cfg.build()
         # spectrum assembles the dense real N x N form of the operator

@@ -5,17 +5,18 @@ The full spectrum comes from LAPACK's balanced Hessenberg-QR solver
 build_hamiltonian, so every non-real eigenvalue comes with its exact
 conjugate and real ones have Im == 0; eigenvectors of H are v = S y.
 The lowest levels alone come from one shift-invert window loop: ARPACK
-on the sparse A, with k doubled until a certificate accepts the window
-and the dense solve as fallback.  Both certificates read det(A - z)
-from _log_det, banded LUs of the folded band of A (contour.folded_band).
-solve_lowest (`ptspec verify`) certifies its window with a disc guard
-and a determinant-parity guard at one real z; the scan family
-(`ptspec scan`) with count_missing, an argument-principle count around
-a rectangle.  Around them live reality/conjugate-pair
-classification, PT-defect of eigenvectors, scans that locate level
-crossings, and match_spectra, which sets the lowest real levels beside
-the closed form as the four float columns (numeric, analytic, abs_err,
-rel_err) that `ptspec verify` prints.
+on the sparse A, with k doubled until a certificate accepts the window,
+and the dense eigenvalues once 2k would reach N.  Both certificates read
+det(A - z) from _log_det, banded LUs of the folded band of A
+(contour.folded_band).  solve_lowest (`ptspec verify`) certifies its
+window with a disc guard and a determinant-parity guard at one real z;
+the scan family (`ptspec scan`) with count_missing, an
+argument-principle count around a rectangle.  Values with Re above 2/h^2
+are grid artifacts (_spurious_cut).  Around them live
+reality/conjugate-pair classification, PT-defect of eigenvectors, scans
+that locate level crossings, and match_spectra, which sets the lowest
+real levels beside the closed form as the four float columns (numeric,
+analytic, abs_err, rel_err) that `ptspec verify` prints.
 """
 
 from dataclasses import dataclass, field
@@ -33,7 +34,6 @@ PAIR = "pair"
 SPURIOUS = "spurious"
 
 DEFAULT_REALITY_TOL = 1e-7
-DEFAULT_SPURIOUS_FACTOR = 0.5
 DEFAULT_CROSSING_TOL = 1e-3
 BACKWARD_ERROR_TOL = 1e-10
 
@@ -161,25 +161,24 @@ def pt_defect(v):
                  / np.linalg.norm(v))
 
 
-def _spurious_cut(g, spurious_factor):
-    """Eigenvalues with real part above this are grid artifacts."""
-    return spurious_factor * 4.0 / g.gridstep ** 2
+def _spurious_cut(g):
+    """Eigenvalues with Re above 2/h^2 are grid artifacts.  The 3-point
+    stencil -D2 maps exp(i k t) to (4/h^2) sin^2(k h / 2): above 2/h^2,
+    half its range [0, 4/h^2], lie only modes shorter than four grid
+    steps (k h > pi/2), which resolve no level of the continuum."""
+    return 2.0 / g.gridstep ** 2
 
 
 def solve_spectrum(model, contour, want_vectors=False,
-                   reality_tol=DEFAULT_REALITY_TOL,
-                   spurious_factor=DEFAULT_SPURIOUS_FACTOR):
-    """Assemble, diagonalize and classify in one call.
-
-    spurious_factor sets the artifact cutoff at factor * 4/h^2, the top
-    of the 3-point stencil's dispersion range.  Eigenvectors are those
-    of the complex operator H, not of its real form.
+                   reality_tol=DEFAULT_REALITY_TOL):
+    """Assemble, diagonalize and classify in one call, with values above
+    _spurious_cut labelled spurious.  Eigenvectors are those of the
+    complex operator H, not of its real form.
     """
     raw = eig_dense(build_hamiltonian(model, contour),
                     want_vectors=want_vectors)
-    cut = _spurious_cut(contour, spurious_factor)
     result = classify_spectrum(raw.eigenvalues, reality_tol=reality_tol,
-                               spurious_cut=cut)
+                               spurious_cut=_spurious_cut(contour))
     if want_vectors:
         # v = S y with S = ((1 + i) I + (1 - i) J) / 2; a real y (a real
         # level) gives conj(v[::-1]) == v exactly
@@ -195,8 +194,7 @@ def solve_spectrum(model, contour, want_vectors=False,
     return result
 
 
-def solve_lowest(model, contour, count, reality_tol=DEFAULT_REALITY_TOL,
-                 spurious_factor=DEFAULT_SPURIOUS_FACTOR):
+def solve_lowest(model, contour, count, reality_tol=DEFAULT_REALITY_TOL):
     """The lowest `count` real levels from a certified shift-invert window.
 
     ARPACK finds the k eigenvalues of the sparse real form A nearest to
@@ -218,16 +216,17 @@ def solve_lowest(model, contour, count, reality_tol=DEFAULT_REALITY_TOL,
     argument-principle count that certifies scan windows (count_missing)
     would add 0.9 to 2.5 times the whole solve on N = 512 to 1000 grids.
     k starts at 2 count + 2.
-    The result holds the classified window values (all values, if the
-    dense solve_spectrum answers).
+    The result classifies, with the cutoff of _spurious_cut, the window
+    values strictly inside the disc, or every value when the loop's
+    dense solve answers.
     """
-    cut = _spurious_cut(contour, spurious_factor)
-    return _certified_window(
+    cut = _spurious_cut(contour)
+    values = _certified_window(
         model, contour, 2 * count + 2,
         lambda band, sigma, values: _certify_window(
-            band, sigma, values, count, reality_tol, cut),
-        lambda: solve_spectrum(model, contour, reality_tol=reality_tol,
-                               spurious_factor=spurious_factor))
+            band, sigma, values, count, reality_tol, cut))
+    return classify_spectrum(values, reality_tol=reality_tol,
+                             spurious_cut=cut)
 
 
 def _shift(diagonal, g):
@@ -237,15 +236,16 @@ def _shift(diagonal, g):
     return diagonal.min() - 2.0 / g.gridstep ** 2 - 1.0
 
 
-def _certified_window(model, g, k, certify, dense):
+def _certified_window(model, g, k, certify):
     """The one shift-invert window loop.  The real form A of the model on
     g is assembled once, as its folded band (contour.folded_band) for the
     certificates and as a sparse CSC array for ARPACK, and sigma is
     _shift of the band's diagonal.  ARPACK returns the k eigenvalues of A
     nearest to sigma, from a fixed start vector, so every run gives the
-    same window; certify(band, sigma, values) returns the result or None.
-    When it returns None, or ARPACK fails to converge, k is doubled; once
-    2k would reach N, dense() answers instead."""
+    same window; certify(band, sigma, values) returns the accepted values
+    or None.  When it returns None, or ARPACK fails to converge, k is
+    doubled; once 2k would reach N, every eigenvalue of the dense real
+    form (build_hamiltonian, eig_dense) answers instead."""
     a = real_form(model, g)
     band = folded_band(a)
     sigma = _shift(band[2], g)
@@ -259,11 +259,11 @@ def _certified_window(model, g, k, certify, dense):
         except scipy.sparse.linalg.ArpackError:    # no convergence, mostly
             pass
         else:
-            result = certify(band, sigma, values)
-            if result is not None:
-                return result
+            accepted = certify(band, sigma, values)
+            if accepted is not None:
+                return accepted
         k *= 2
-    return dense()
+    return eig_dense(build_hamiltonian(model, g)).eigenvalues
 
 
 def _gap_above(re, top):
@@ -277,7 +277,8 @@ def _gap_above(re, top):
 
 
 def _certify_window(band, sigma, values, count, reality_tol, cut):
-    """The classified window, or None when a guard of solve_lowest fails."""
+    """The window values strictly inside the disc, or None when a guard
+    of solve_lowest fails."""
     dist = np.abs(values - sigma)
     inside = values[dist < dist.max()]
     try:
@@ -297,7 +298,7 @@ def _certify_window(band, sigma, values, count, reality_tol, cut):
     if log_det.real == -np.inf:         # A - x is singular
         return None
     below = np.count_nonzero((inside.imag == 0) & (inside.real < x))
-    return result if round(log_det.imag / np.pi) % 2 == below % 2 else None
+    return inside if round(log_det.imag / np.pi) % 2 == below % 2 else None
 
 
 def count_missing(band, sigma, x, window):
@@ -539,8 +540,7 @@ def ptho_analytic_family(nmax=8):
     return spectrum
 
 
-def ptho_numeric_family(c=1.0, npoints=600, halfwidth=10.0, levels=6,
-                        spurious_factor=DEFAULT_SPURIOUS_FACTOR):
+def ptho_numeric_family(c=1.0, npoints=600, halfwidth=10.0, levels=6):
     """Discretized oscillator family for scans: alpha -> the retained
     values below a certified x, at least `levels` of them when they exist.
 
@@ -549,7 +549,7 @@ def ptho_numeric_family(c=1.0, npoints=600, halfwidth=10.0, levels=6,
     at or above the levels-th window value (the rule of solve_lowest),
     and the window is accepted when count_missing finds no eigenvalue
     with Re < x missing from it; otherwise k doubles, and once 2k reaches
-    N the dense eigvals answers with every value.
+    N the loop answers with every value of the dense eigvals.
 
     Only the spurious cutoff is applied; no reality/pair classification.
     Inside the tiny exceptional-point window around a crossing the
@@ -566,8 +566,6 @@ def ptho_numeric_family(c=1.0, npoints=600, halfwidth=10.0, levels=6,
                 return None
             return values[values.real < x]
 
-        values = _certified_window(
-            model, g, 2 * levels + 4, certify,
-            lambda: eig_dense(build_hamiltonian(model, g)).eigenvalues)
-        return values[values.real <= _spurious_cut(g, spurious_factor)]
+        values = _certified_window(model, g, 2 * levels + 4, certify)
+        return values[values.real <= _spurious_cut(g)]
     return spectrum

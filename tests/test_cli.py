@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import math
+import os
 import sys
 import time
 
@@ -33,6 +34,18 @@ def run(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def deny_write(monkeypatch, path):
+    """Make os.access report `path` as not writable, as its permission
+    bits would for any user but root."""
+    access = os.access
+
+    def fake(p, mode, **kwargs):
+        if os.path.realpath(p) == os.path.realpath(path) and mode & os.W_OK:
+            return False
+        return access(p, mode, **kwargs)
+    monkeypatch.setattr(os, "access", fake)
 
 
 SMALL_PTHO = {
@@ -65,8 +78,7 @@ class TestConfig:
             "model": {"kind": "angular", "ell": 1.0, "shift": 0.1,
                       "lambda": 0.0},
             "contour": {"npoints": 64},
-            "tolerances": {"reality": 1e-6, "spurious_factor": 0.4,
-                           "crossing": 1e-3, "match": 1e-3},
+            "tolerances": {"reality": 1e-6, "crossing": 1e-3, "match": 1e-3},
             "scan": {"lo": 0.5, "hi": 2.5, "steps": 11, "levels": 4},
             "wavefunction": {"index": 2, "qparity": -1},
             "verify": {"count": 5},
@@ -135,6 +147,12 @@ def valid_docs(draw):
     lo, hi = scan.get("lo", 0.5), scan.get("hi", 2.5)
     if lo >= hi:
         scan["hi"] = lo + 1.0
+    # the scan table holds steps * levels <= MAX_ROWS rows
+    steps, levels = (scan.get(key, DEFAULTS["scan"][key])
+                     for key in ("steps", "levels"))
+    if steps * levels > MAX_ROWS:
+        scan["levels"] = min(levels, MAX_ROWS // 2)
+        scan["steps"] = MAX_ROWS // scan["levels"]
     # verify.count and scan.levels may not exceed contour.npoints
     need = max(doc.get(name, {}).get(key, DEFAULTS[name][key])
                for name, key in (("verify", "count"), ("scan", "levels")))
@@ -249,12 +267,13 @@ class TestExitCodes:
         ("scan", dict(SMALL_PTHO, scan={"lo": 1.0, "hi": 1.0})),
         ("scan", dict(SMALL_PTHO, scan={"levels": 0})),
         ("scan", dict(SMALL_PTHO, scan={"steps": 1})),
+        ("scan", dict(SMALL_PTHO, scan={"steps": 10 ** 11})),
         ("scan", dict(SMALL_PTHO, scan={"lo": -1.0, "hi": 0.5, "steps": 3,
                                         "levels": 2})),
         ("scan", dict(SMALL_PTHO, scan={"lo": 0.0})),
         ("verify", dict(SMALL_PTHO, tolerances={"match": -1.0})),
         ("verify", dict(SMALL_PTHO, tolerances={"reality": -1e-9})),
-        ("spectrum", dict(SMALL_PTHO, tolerances={"spurious_factor": -1.0})),
+        ("spectrum", dict(SMALL_PTHO, tolerances={"spurious_factor": 0.5})),
         ("wavefunction", dict(SMALL_PTHO, wavefunction={"index": -1})),
         ("wavefunction", dict(SMALL_PTHO, wavefunction={"qparity": 0})),
         ("wavefunction", {"model": {"kind": "ptho", "ell": 7.0},
@@ -270,8 +289,8 @@ class TestExitCodes:
         ("verify", {"model": {"kind": "angular"}, "contour": {"npoints": 16},
                     "verify": {"count": 17}}),
     ], ids=["lo-above-hi", "lo-equals-hi", "levels-0", "steps-1",
-            "lo-negative", "lo-zero",
-            "match-negative", "reality-negative", "spurious-negative",
+            "steps-oversize", "lo-negative", "lo-zero",
+            "match-negative", "reality-negative", "spurious-factor-unknown",
             "index-negative", "qparity-0", "ptho-with-ell",
             "angular-with-alpha", "angular-with-halfwidth",
             "kind-not-a-string", "shift-negative-at-half-alpha",
@@ -313,23 +332,62 @@ class TestExitCodes:
             assert code == expected and (out == "") == (code == EXIT_CONFIG)
         assert sizes == [MAX_ROWS]       # the rejected grid was never built
 
+    def test_oversize_scan_table_exits_2_before_the_sweep(
+            self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("scan_parameter ran")
+        monkeypatch.setattr(ptspec.cli, "scan_parameter", never)
+        cfg = write_config(tmp_path, dict(
+            SMALL_PTHO, scan={"steps": MAX_ROWS // 2 + 1, "levels": 2}))
+        code, out = run(["scan", "--config", cfg], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        # a table of exactly MAX_ROWS rows is accepted
+        RunConfig.from_dict({"scan": {"steps": MAX_ROWS // 4, "levels": 4}})
+
     @pytest.mark.parametrize("command,work", [("verify", "solve_lowest"),
                                               ("wavefunction", "grid_points")])
-    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("target", [
+        "missing-directory", "directory", "read-only-file",
+        "dangling-symlink",
+        pytest.param("chmod-read-only-file", marks=pytest.mark.skipif(
+            os.geteuid() == 0, reason="permission bits do not bind root"))])
     def test_unwritable_out_exits_2_before_numerics(
             self, tmp_path, capsys, monkeypatch, command, work, target):
         def never(*args, **kwargs):
             raise AssertionError(f"{work} ran")
         monkeypatch.setattr(ptspec.cli, work, never)
         cfg = write_config(tmp_path, SMALL_PTHO)
+        out = {"missing-directory": tmp_path / "missing" / "x.csv",
+               "directory": tmp_path}.get(target, tmp_path / "old.csv")
+        if target == "read-only-file":
+            out.write_text("old\n")
+            deny_write(monkeypatch, out)
+        elif target == "chmod-read-only-file":
+            out.write_text("old\n")
+            out.chmod(0o444)
+        elif target == "dangling-symlink":
+            out.symlink_to(tmp_path / "missing" / "x.csv")
         before = sorted(tmp_path.rglob("*"))
-        out = (tmp_path / "missing" / "x.csv" if target == "missing-directory"
-               else tmp_path)
         code = main([command, "--config", cfg, "--out", str(out)])
         captured = capsys.readouterr()
         assert code == EXIT_CONFIG and captured.out == ""
         assert "configuration error" in captured.err
         assert sorted(tmp_path.rglob("*")) == before
+        if target.endswith("read-only-file"):
+            assert out.read_text() == "old\n"
+
+    def test_writable_file_in_read_only_directory(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # an existing file is rewritten in place: only its own permission
+        # counts, not its directory's
+        out = tmp_path / "wf.csv"
+        out.write_text("old\n")
+        deny_write(monkeypatch, tmp_path)
+        cfg = write_config(tmp_path, SMALL_PTHO)
+        code, text = run(["wavefunction", "--config", cfg, "--out", str(out)],
+                         capsys)
+        assert code == EXIT_OK and text == ""
+        assert out.read_text().startswith("t,re_psi")
 
     def test_out_file_in_working_directory(self, tmp_path, capsys,
                                            monkeypatch):
@@ -424,9 +482,7 @@ class TestVerifyCommand:
           "tolerances": {"match": 0.05}}, 4, EXIT_OK, False),
         ({"contour": {"npoints": 500}, "verify": {"count": 4},
           "tolerances": {"match": 1e-6}}, 4, EXIT_VERIFY_FAIL, False),
-        ({"contour": {"npoints": 200},
-          "tolerances": {"spurious_factor": 0.05}}, 7, EXIT_VERIFY_FAIL,
-         True),
+        ({"contour": {"npoints": 52}}, 5, EXIT_VERIFY_FAIL, True),
         ({"contour": {"npoints": 16}}, 0, EXIT_VERIFY_FAIL, True),
     ], ids=["pass", "fail", "partly-short", "empty"])
     def test_rows_follow_the_per_level_formulas(self, tmp_path, capsys, doc,

@@ -476,15 +476,17 @@ class TestSolveLowest:
         assert win.real_values()[:8] == pytest.approx(
             ps.solve_spectrum(model, g).real_values()[:8], rel=1e-8)
 
-    @pytest.mark.parametrize("npoints,count,factor", [
-        (40, 20, 0.5), (41, 30, 0.5), (200, 8, 0.05)])
-    def test_too_many_levels_match_dense(self, npoints, count, factor):
-        # count >= N/2 goes straight to the dense solve; at N=200 with a
-        # spurious cut of 0.2/h^2 only 7 real levels remain, so no window
-        # certifies 8 and the dense answer reports what exists
+    @pytest.mark.parametrize("npoints,count", [(40, 20), (41, 30), (52, 8)])
+    def test_too_many_levels_match_dense(self, monkeypatch, npoints, count):
+        # count >= N/2 goes straight to the dense solve; at N=52 only 5
+        # real levels lie below the spurious cut 2/h^2, so the k = 18
+        # window certifies no 8, k doubles to 36 >= N/2, and the dense
+        # answer reports what exists
         model, g = self.setup_ptho(npoints)
-        win = ps.solve_lowest(model, g, count, spurious_factor=factor)
-        dense = ps.solve_spectrum(model, g, spurious_factor=factor)
+        calls = self.patch_eigs(monkeypatch, lambda values, k: values)
+        win = ps.solve_lowest(model, g, count)
+        assert calls == ([18] if count == 8 else [])
+        dense = ps.solve_spectrum(model, g)
         assert len(win.real_values()) == len(dense.real_values()) < count
         assert np.array_equal(win.eigenvalues, dense.eigenvalues)
 
@@ -620,7 +622,7 @@ def dense_family(c, npoints, halfwidth):
         model = ps.PthoParams(alpha=alpha, c=c)
         g = ps.contour_for(model, npoints=npoints, halfwidth=halfwidth)
         values = ps.eig_dense(ps.build_hamiltonian(model, g)).eigenvalues
-        return values[values.real <= _spurious_cut(g, 0.5)]
+        return values[values.real <= _spurious_cut(g)]
     return spectrum
 
 
