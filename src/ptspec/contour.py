@@ -28,6 +28,19 @@ In the folded order (0, N-1, 1, N-2, ...) the antidiagonal and the
 periodic corners sit next to the diagonal and the tridiagonal couplings
 two places off it, so folded_band stores A as a band with two sub- and
 two superdiagonals, on both contours and for odd and even N.
+
+The angular potential ell(ell+1)/sin^2 z + lam(lam+1)/cos^2 z has period
+pi.  On the periodic grid with N % 4 == 0 the shift by N/2 points is that
+half period, and it commutes with H.  H therefore splits into the block
+of vectors with w[j + N/2] = w[j] and the block with w[j + N/2] = -w[j].
+Each block is the 3-point operator on the centred half grid
+t_{N/4}, ..., t_{3N/4 - 1}, step h = 2 pi/N, whose corners -s/h^2 (s = +1
+or -1) couple its two ends through the neighbour across the half period.
+The window maps onto itself under j -> N-1-j only when N/4 is an
+integer: then it keeps V(-t) = conj(V(t)), and each block has the exact
+real form above.
+real_blocks returns the two blocks, or real_form alone wherever they do
+not exist (the oscillator, odd N, N % 4 == 2).
 """
 
 from dataclasses import dataclass
@@ -138,24 +151,54 @@ def real_form(model, g: Contour):
     entries that meet at one position are summed on conversion.  A
     potential with V[::-1] != conj(V), or a grid above MAX_POINTS, raises
     ValueError."""
+    _check_size(g)
+    h = g.gridstep
+    corner = -1.0 / h ** 2 if g.kind == "periodic" else None
+    return _assemble(potential_value(model, grid_points(g)), h, corner)
+
+
+def real_blocks(model, g: Contour):
+    """The real forms whose spectra together make up the spectrum of the
+    operator on g, as COO arrays; the checks are those of real_form.
+
+    For an angular model on a periodic grid with N % 4 == 0 these are the
+    two half-grid blocks of the module docstring: block b is assembled on
+    the centred half grid grid_points(g)[N/4 : 3N/4], step h = 2 pi/N,
+    with corners -s/h^2, s = (-1)^b, and its eigenvectors w of H extend to
+    the full grid by w[j + N/2] = s w[j].  Every other case has one block,
+    real_form(model, g)."""
+    n = g.npoints
+    if not (isinstance(model, AngularParams) and g.kind == "periodic"
+            and n % 4 == 0):
+        return [real_form(model, g)]
+    _check_size(g)
+    h = g.gridstep
+    v = potential_value(model, grid_points(g)[n // 4:n // 4 + n // 2])
+    return [_assemble(v, h, -s / h ** 2) for s in (1.0, -1.0)]
+
+
+def _check_size(g):
     if g.npoints > MAX_POINTS:
         raise ValueError(f"npoints {g.npoints} exceeds the dense-solver "
                          f"cap {MAX_POINTS}")
-    h = g.gridstep
-    v = potential_value(model, grid_points(g))
+
+
+def _assemble(v, h, corner):
+    """A for the potential values v on a reflection-symmetric grid of step
+    h, with the periodic corner entry `corner` (None: no corners)."""
     if not np.array_equal(v[::-1], np.conj(v)):
         raise ValueError("potential is not PT-symmetric on the grid: "
                          "V(-t) != conj(V(t))")
-    n = g.npoints
+    n = len(v)
     idx = np.arange(n)
     off = np.full(n - 1, -1.0 / h ** 2)
     rows = [idx, idx[:-1], idx[1:], idx]
     cols = [idx, idx[1:], idx[:-1], idx[::-1]]
     data = [2.0 / h ** 2 + v.real, off, off, v.imag]
-    if g.kind == "periodic":
+    if corner is not None:
         rows.append([0, n - 1])
         cols.append([n - 1, 0])
-        data.append(off[:2])
+        data.append([corner, corner])
     # the antidiagonal meets the diagonal (odd n, where Im V is 0), the
     # off-diagonals (even n) and the periodic corners; at most two
     # entries share a position, so the sum does not depend on their order

@@ -1,16 +1,20 @@
 """Non-Hermitian spectra: solve, classify, verify, scan.
 
 The full spectrum comes from LAPACK's balanced Hessenberg-QR solver
-(scipy.linalg.eig) on the dense real form A = S* H S from
-build_hamiltonian, so every non-real eigenvalue comes with its exact
-conjugate and real ones have Im == 0; eigenvectors of H are v = S y.
+(scipy.linalg.eig) on the dense image of each real form A = S* H S that
+contour.real_blocks returns: the two half-grid blocks of the pi-periodic
+angular operator when N % 4 == 0, which cost about a quarter of one
+full-grid solve, and the full-grid A otherwise.  Every non-real
+eigenvalue comes with its exact conjugate and real ones have Im == 0;
+eigenvectors of H are v = S y, extended from a half-grid block to the
+full grid (_dense_spectrum).
 The lowest levels alone come from one shift-invert window loop: ARPACK
-on the sparse A, with k doubled until a certificate accepts the window,
-and the dense eigenvalues once 2k would reach N.  Both certificates read
-det(A - z) from _log_det, banded LUs of the folded band of A
-(contour.folded_band).  solve_lowest (`ptspec verify`) certifies its
-window with a disc guard and a determinant-parity guard at one real z;
-the scan family (`ptspec scan`) with count_missing, an
+on the sparse full-grid A, with k doubled until a certificate accepts
+the window, and the dense eigenvalues once 2k would reach N.  Both
+certificates read det(A - z) from _log_det, banded LUs of the folded
+band of A (contour.folded_band).  solve_lowest (`ptspec verify`)
+certifies its window with a disc guard and a determinant-parity guard at
+one real z; the scan family (`ptspec scan`) with count_missing, an
 argument-principle count around a rectangle.  Values with Re above 2/h^2
 are grid artifacts (_spurious_cut).  Around them live
 reality/conjugate-pair classification, PT-defect of eigenvectors, scans
@@ -25,7 +29,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .contour import build_hamiltonian, contour_for, folded_band, real_form
+from .contour import contour_for, folded_band, real_blocks, real_form
 from .exceptions import InsufficientLevels, NonConvergence
 from .models import PthoParams
 
@@ -72,13 +76,16 @@ def eig_dense(m, want_vectors=False):
 
     Eigenvalues come back sorted by real part (imaginary part breaks
     ties).  With want_vectors, eigenvectors are normalized to unit
-    Euclidean norm and the backward error ||Mv - Ev|| / ||M|| of every
-    pair is verified against 1e-10.  The vectors are sorted and checked
-    in column blocks, so besides LAPACK's output only one more N x N
-    array is allocated.
+    Euclidean norm and the backward error ||Mv - Ev|| / ||M||_1 of every
+    pair is verified against 1e-10, with Mv from a CSR copy of M: O(nnz)
+    work per vector instead of O(N^2).  The vectors are sorted and
+    checked in column blocks, so besides LAPACK's output only one more
+    N x N array is allocated.
     """
     if want_vectors:
-        scale = np.linalg.norm(m, ord=1)    # before LAPACK's copies exist
+        # before LAPACK's copies exist
+        scale = np.linalg.norm(m, ord=1)
+        sparse = scipy.sparse.csr_array(m)
     try:
         if want_vectors:
             values, raw = scipy.linalg.eig(m, check_finite=False)
@@ -97,9 +104,7 @@ def eig_dense(m, want_vectors=False):
     for cols in _column_blocks(len(values)):
         y = raw[:, order[cols]]
         y /= np.linalg.norm(y, axis=0)
-        # a real m stays real: no complex copy of it is made
-        resid = m @ y.real + 1j * (m @ y.imag) if np.isrealobj(m) else m @ y
-        resid -= y * values[cols]
+        resid = sparse @ y - y * values[cols]
         worst = max(worst, float(np.linalg.norm(resid, axis=0).max()))
         vectors[:, cols] = y
     worst /= scale
@@ -173,24 +178,57 @@ def solve_spectrum(model, contour, want_vectors=False,
                    reality_tol=DEFAULT_REALITY_TOL):
     """Assemble, diagonalize and classify in one call, with values above
     _spurious_cut labelled spurious.  Eigenvectors are those of the
-    complex operator H, not of its real form.
+    complex operator H on the full grid, not of a real form
+    (_dense_spectrum), each with its PT defect.
     """
-    raw = eig_dense(build_hamiltonian(model, contour),
-                    want_vectors=want_vectors)
+    raw = _dense_spectrum(model, contour, want_vectors=want_vectors)
     result = classify_spectrum(raw.eigenvalues, reality_tol=reality_tol,
                                spurious_cut=_spurious_cut(contour))
     if want_vectors:
-        # v = S y with S = ((1 + i) I + (1 - i) J) / 2; a real y (a real
-        # level) gives conj(v[::-1]) == v exactly
-        y, raw.eigenvectors = raw.eigenvectors, None
-        v = np.empty_like(y)
-        for cols in _column_blocks(y.shape[1]):
-            v[:, cols] = ((0.5 + 0.5j) * y[:, cols]
-                          + (0.5 - 0.5j) * y[::-1, cols])
-        del y                   # freed before the PT defects are computed
-        result.eigenvectors = v
+        v = result.eigenvectors = raw.eigenvectors
         result.pt_defects = np.array([pt_defect(v[:, i])
                                       for i in range(v.shape[1])])
+    return result
+
+
+def _dense_spectrum(model, g, want_vectors=False):
+    """Every eigenvalue of the operator on g, sorted by (Re, Im): eig_dense
+    on each real form of contour.real_blocks, the values merged.
+
+    With want_vectors, unit eigenvectors of the complex H on the full
+    grid come aligned column for column.  A block vector y of m points
+    maps to v = S y, with S = ((1 + i) I + (1 - i) J) / 2, so a real y (a
+    real level) gives conj(v[::-1]) == v exactly.  Block b sits on the
+    centred m of the N grid points and extends to the rest by
+    v[j + m] = (-1)^b v[j], scaled by sqrt(m / N) to unit norm; a single
+    block (m = N) is v itself.  The columns are written straight into one
+    N x N array at their merged positions, block by block.
+    """
+    blocks = [eig_dense(a.toarray(), want_vectors=want_vectors)
+              for a in real_blocks(model, g)]
+    values = np.concatenate([b.eigenvalues for b in blocks])
+    order = _sort_order(values)
+    result = SpectrumResult(eigenvalues=values[order])
+    if not want_vectors:
+        return result
+    n = g.npoints
+    position = np.empty(n, dtype=int)
+    position[order] = np.arange(n)
+    v = np.empty((n, n), dtype=complex, order="F")
+    start = 0
+    for b, block in enumerate(blocks):
+        y = block.eigenvectors
+        m = y.shape[0]
+        q, s, scale = (n - m) // 2, (-1.0) ** b, np.sqrt(m / n)
+        for cols in _column_blocks(m):
+            w = scale * ((0.5 + 0.5j) * y[:, cols]
+                         + (0.5 - 0.5j) * y[::-1, cols])
+            target = position[start + cols.start:start + cols.stop]
+            v[q:q + m, target] = w
+            v[:q, target] = s * w[m - q:]
+            v[q + m:, target] = s * w[:q]
+        start += m
+    result.eigenvectors = v
     return result
 
 
@@ -244,8 +282,8 @@ def _certified_window(model, g, k, certify):
     nearest to sigma, from a fixed start vector, so every run gives the
     same window; certify(band, sigma, values) returns the accepted values
     or None.  When it returns None, or ARPACK fails to converge, k is
-    doubled; once 2k would reach N, every eigenvalue of the dense real
-    form (build_hamiltonian, eig_dense) answers instead."""
+    doubled; once 2k would reach N, every eigenvalue of the dense solve
+    (_dense_spectrum, the path of solve_spectrum) answers instead."""
     a = real_form(model, g)
     band = folded_band(a)
     sigma = _shift(band[2], g)
@@ -263,7 +301,7 @@ def _certified_window(model, g, k, certify):
             if accepted is not None:
                 return accepted
         k *= 2
-    return eig_dense(build_hamiltonian(model, g)).eigenvalues
+    return _dense_spectrum(model, g).eigenvalues
 
 
 def _gap_above(re, top):

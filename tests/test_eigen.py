@@ -11,9 +11,9 @@ import scipy.sparse.linalg
 import ptspec as ps
 from ptspec.cli import _analytic_levels
 import ptspec.eigen
-from ptspec.contour import folded_band, real_form
-from ptspec.eigen import (PAIR, REAL, SPURIOUS, _gap_above, _log_det, _shift,
-                          _spurious_cut, count_missing)
+from ptspec.contour import MAX_POINTS, folded_band, real_blocks, real_form
+from ptspec.eigen import (PAIR, REAL, SPURIOUS, _dense_spectrum, _gap_above,
+                          _log_det, _shift, _spurious_cut, count_missing)
 from ptspec.exceptions import InsufficientLevels
 
 from test_contour import complex_stencil
@@ -322,18 +322,21 @@ class TestSpectrumSymmetry:
     def test_vectors_peak_memory(self):
         # A (8 N^2 bytes) and LAPACK's copy, real and complex vectors are
         # unavoidable; the sort, check and S-map work in column blocks,
-        # and the real A is never cast to complex
-        n = 800
-        model = ps.PthoParams(1.5, 1.0)
-        g = ps.contour_for(model, npoints=n)
-        tracemalloc.start()
-        try:
-            res = ps.solve_spectrum(model, g, want_vectors=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert res.eigenvectors.shape == (n, n)
-        assert peak <= 48 * n * n
+        # and the real A is never cast to complex.  The angular grid's two
+        # half-grid blocks write their vectors straight into the one
+        # N x N result
+        for model, n in ((ps.PthoParams(1.5, 1.0), 800),
+                         (ps.AngularParams(ell=1.0, eps=0.1), 1024)):
+            g = ps.contour_for(model, npoints=n)
+            tracemalloc.start()
+            try:
+                res = ps.solve_spectrum(model, g, want_vectors=True,
+                                        reality_tol=1e-4)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert res.eigenvectors.shape == (n, n)
+            assert peak <= 48 * n * n
 
     def test_all_real_spectrum_gets_complex_vectors(self):
         # ell = 0 leaves the free periodic operator, whose real form is
@@ -346,6 +349,101 @@ class TestSpectrumSymmetry:
         assert np.all(res.eigenvalues.imag == 0.0)
         assert v.dtype == complex
         assert np.abs(h @ v - v * res.eigenvalues).max() <= 1e-12
+
+
+class TestSymmetryBlocks:
+    """The angular operator's half-grid blocks against the full grid."""
+
+    @pytest.mark.parametrize("npoints", [16, 64, 512])
+    @pytest.mark.parametrize("ell,lam", [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0),
+                                         (1.0, 0.7)])
+    def test_block_values_are_the_full_grid_spectrum(self, ell, lam,
+                                                      npoints):
+        # H is complex symmetric, so the left eigenvector of a unit right
+        # vector v is conj(v) and kappa = 1 / |v^T v|.  Each block value
+        # with kappa <= 1e3 must lie within N kappa u ||H||_1 of a
+        # full-grid eigenvalue, and each full-grid eigenvalue whose
+        # nearest block value has kappa <= 1e3 within as much of it: a
+        # block whose spectrum is a true subset (both corners -1/h^2)
+        # fails the second check
+        model = ps.AngularParams(ell=ell, lam=lam, eps=0.1)
+        g = ps.contour_for(model, npoints=npoints)
+        assert len(real_blocks(model, g)) == 2
+        got = _dense_spectrum(model, g, want_vectors=True)
+        values, v = got.eigenvalues, got.eigenvectors
+        h = complex_stencil(model, g)
+        full = np.linalg.eigvals(h)
+        assert len(values) == npoints
+        assert np.array_equal(np.lexsort((values.imag, values.real)),
+                              np.arange(npoints))
+        assert conjugation_closed(values)
+        assert abs(values.sum() - np.trace(h)) <= 1e-12 * abs(np.trace(h))
+        kappa = 1.0 / np.abs(np.sum(v * v, axis=0))
+        bound = npoints * kappa * np.finfo(float).eps * np.linalg.norm(h, 1)
+        well = kappa <= 1e3
+        assert np.count_nonzero(well) >= npoints // 4
+        dist = np.abs(values[:, None] - full[None, :])
+        assert np.all(dist.min(axis=1)[well] <= bound[well])
+        nearest = dist.argmin(axis=0)
+        covered = well[nearest]
+        assert np.all(dist.min(axis=0)[covered] <= bound[nearest][covered])
+
+    @pytest.mark.parametrize("ell,lam,npoints", [
+        (1.0, 0.0, 64), (2.0, 0.7, 128), (1.0, 0.0, 512), (2.0, 0.0, 512)])
+    def test_block_vectors_solve_the_full_grid_operator(self, ell, lam,
+                                                        npoints):
+        # each block vector, mapped by S and extended to the full grid
+        # with its sign, is a unit eigenvector of the full-grid H; a real
+        # level's vector is exactly PT-symmetric
+        model = ps.AngularParams(ell=ell, lam=lam, eps=0.1)
+        g = ps.contour_for(model, npoints=npoints)
+        res = ps.solve_spectrum(model, g, want_vectors=True,
+                                reality_tol=1e-4)
+        h = complex_stencil(model, g)
+        v, ev = res.eigenvectors, res.eigenvalues
+        backward = (np.linalg.norm(h @ v - v * ev, axis=0)
+                    / np.linalg.norm(h, ord=1))
+        assert v.shape == (npoints, npoints) and v.flags.f_contiguous
+        assert backward.max() <= 1e-10
+        assert np.allclose(np.linalg.norm(v, axis=0), 1.0, rtol=1e-13)
+        assert np.linalg.matrix_rank(v) == npoints
+        real = ev.imag == 0
+        assert np.count_nonzero(real) >= 7
+        assert np.all(res.pt_defects[real] == 0.0)
+
+    @pytest.mark.parametrize("model,npoints", [
+        (ps.AngularParams(ell=1.0, lam=0.7, eps=0.1), 130),
+        (ps.AngularParams(ell=1.0, eps=0.1), 131),
+        (ps.PthoParams(1.5, 1.0), 128),
+    ])
+    def test_one_block_is_the_full_real_form(self, model, npoints):
+        # N = 2 (mod 4) has no index-symmetric half window, an odd N no
+        # N/2 shift, and the oscillator no half period
+        g = ps.contour_for(model, npoints=npoints, halfwidth=8.0)
+        blocks = real_blocks(model, g)
+        assert len(blocks) == 1
+        assert np.array_equal(blocks[0].toarray(),
+                              ps.build_hamiltonian(model, g))
+        got = _dense_spectrum(model, g, want_vectors=True)
+        dense = ps.eig_dense(ps.build_hamiltonian(model, g),
+                             want_vectors=True)
+        assert np.array_equal(got.eigenvalues, dense.eigenvalues)
+        y = dense.eigenvectors
+        assert np.array_equal(got.eigenvectors,
+                              (0.5 + 0.5j) * y + (0.5 - 0.5j) * y[::-1])
+
+    def test_half_grid_blocks_keep_the_size_cap(self):
+        # the cap is on the full grid N, though each block has N/2 points
+        model = ps.AngularParams(ell=1.0, eps=0.1)
+        g = ps.periodic_contour(npoints=MAX_POINTS + 4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                ps.solve_spectrum(model, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestSolveLowest:
