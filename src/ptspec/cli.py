@@ -300,8 +300,7 @@ def _analytic_levels(model, count):
 # list of strings.
 
 def cmd_spectrum(cfg, model, g):
-    result = solve_spectrum(model, g, want_vectors=True,
-                            reality_tol=cfg.tolerances["reality"])
+    result = solve_spectrum(model, g, reality_tol=cfg.tolerances["reality"])
     ev = result.eigenvalues
     table = [np.arange(len(ev)), ev.real, ev.imag,
              list(result.classifications), np.asarray(result.pt_defects)]

@@ -207,18 +207,21 @@ def _assemble(v, h, corner):
         shape=(n, n))
 
 
+def folded_order(n):
+    """The folded order p = (0, N-1, 1, N-2, ...) of N grid indices."""
+    j = np.arange(n)
+    return np.where(j % 2 == 0, j // 2, n - 1 - j // 2)
+
+
 def folded_band(a):
     """The real form `a` (the COO array real_form returns) in the folded
-    order p = (0, N-1, 1, N-2, ...) as a (5, N) float array in LAPACK
-    band storage with two sub- and two superdiagonals:
+    order p = folded_order(N) as a (5, N) float array in LAPACK band
+    storage with two sub- and two superdiagonals:
     band[2 + i - j, j] = A[p[i], p[j]].  Entries that meet at one
     position are summed, as on conversion of the COO array."""
     n = a.shape[0]
-    order = np.empty(n, dtype=int)
-    order[0::2] = np.arange((n + 1) // 2)
-    order[1::2] = n - 1 - np.arange(n // 2)
     position = np.empty(n, dtype=int)
-    position[order] = np.arange(n)
+    position[folded_order(n)] = np.arange(n)
     i, j = position[a.row], position[a.col]
     band = np.zeros((5, n))
     np.add.at(band, (2 + i - j, j), a.data)

@@ -1,26 +1,24 @@
 """Non-Hermitian spectra: solve, classify, verify, scan.
 
-The full spectrum comes from LAPACK's balanced Hessenberg-QR solver
-(scipy.linalg.eig) on the dense image of each real form A = S* H S that
-contour.real_blocks returns: the two half-grid blocks of the pi-periodic
-angular operator when N % 4 == 0, which cost about a quarter of one
-full-grid solve, and the full-grid A otherwise.  Every non-real
-eigenvalue comes with its exact conjugate and real ones have Im == 0;
-eigenvectors of H are v = S y, extended from a half-grid block to the
-full grid (_dense_spectrum).
+The full spectrum comes from LAPACK's balanced Hessenberg QR
+(scipy.linalg.eigvals, no eigenvectors) on the dense image of each real
+form A = S* H S of contour.real_blocks: the two half-grid blocks of the
+pi-periodic angular operator when N % 4 == 0, a quarter of one full-grid
+solve, and the full-grid A otherwise.  Every non-real eigenvalue comes
+with its exact conjugate and real ones have Im == 0.  The PT defect of
+each eigenvector of H = S A S* costs O(N): 0 for a real value, and from
+one step of inverse iteration on the folded band of A
+(contour.folded_band) for a non-real one (_band_vectors).
 The lowest levels alone come from one shift-invert window loop: ARPACK
 on the sparse full-grid A, with k doubled until a certificate accepts
 the window, and the dense eigenvalues once 2k would reach N.  Both
 certificates read det(A - z) from _log_det, banded LUs of the folded
-band of A (contour.folded_band).  solve_lowest (`ptspec verify`)
-certifies its window with a disc guard and a determinant-parity guard at
-one real z; the scan family (`ptspec scan`) with count_missing, an
-argument-principle count around a rectangle.  Values with Re above 2/h^2
-are grid artifacts (_spurious_cut).  Around them live
-reality/conjugate-pair classification, PT-defect of eigenvectors, scans
-that locate level crossings, and match_spectra, which sets the lowest
-real levels beside the closed form as the four float columns (numeric,
-analytic, abs_err, rel_err) that `ptspec verify` prints.
+band.  solve_lowest (`ptspec verify`) certifies its window with a disc
+guard and a determinant-parity guard at one real z; the scan family
+(`ptspec scan`) with count_missing, an argument-principle count around a
+rectangle.  Values with Re above about 2/h^2 are grid artifacts
+(_spurious_cut).  match_spectra sets the lowest real levels beside the
+closed form as the four columns that `ptspec verify` prints.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +27,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .contour import contour_for, folded_band, real_blocks, real_form
+from .contour import (contour_for, folded_band, folded_order, real_blocks,
+                      real_form)
 from .exceptions import InsufficientLevels, NonConvergence
 from .models import PthoParams
 
@@ -41,20 +40,21 @@ DEFAULT_REALITY_TOL = 1e-7
 DEFAULT_CROSSING_TOL = 1e-3
 BACKWARD_ERROR_TOL = 1e-10
 
-# argument-principle count (count_missing): starting segments per edge,
-# the most bisection rounds, and the stacked band rows per zgbtrf call,
-# which bound its memory
+# argument-principle count (count_missing): starting segments per edge
+# and the most bisection rounds; stacked band rows per zgbtrf call
+# (_stacked_lu), which bound the memory of the banded LUs
 MIN_SEGMENTS = 32
 MAX_BISECTIONS = 40
 LU_ROWS = 4096
+# seeds of the fixed start vectors of the band inverse iteration
+START_SEEDS = (0, 1)
 
 
 @dataclass
 class SpectrumResult:
-    """Eigenvalues sorted by (Re, Im), optional unit eigenvectors aligned
-    column-for-column, per-value classification, per-vector PT defect."""
+    """Eigenvalues sorted by (Re, Im), with per-value classification and
+    PT defect where they were computed."""
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray = None
     classifications: list = None
     pt_defects: np.ndarray = None
 
@@ -70,54 +70,16 @@ def _sort_order(values):
     return np.lexsort((values.imag, values.real))
 
 
-def eig_dense(m, want_vectors=False):
-    """Full spectrum of a dense real or complex matrix, such as the real
-    form that build_hamiltonian returns.
-
-    Eigenvalues come back sorted by real part (imaginary part breaks
-    ties).  With want_vectors, eigenvectors are normalized to unit
-    Euclidean norm and the backward error ||Mv - Ev|| / ||M||_1 of every
-    pair is verified against 1e-10, with Mv from a CSR copy of M: O(nnz)
-    work per vector instead of O(N^2).  The vectors are sorted and
-    checked in column blocks, so besides LAPACK's output only one more
-    N x N array is allocated.
-    """
-    if want_vectors:
-        # before LAPACK's copies exist
-        scale = np.linalg.norm(m, ord=1)
-        sparse = scipy.sparse.csr_array(m)
+def eig_dense(m):
+    """Every eigenvalue of a dense real or complex matrix, such as the
+    real form that build_hamiltonian returns, sorted by real part
+    (imaginary part breaks ties): LAPACK's balanced Hessenberg QR, with
+    no eigenvectors."""
     try:
-        if want_vectors:
-            values, raw = scipy.linalg.eig(m, check_finite=False)
-        else:
-            values = scipy.linalg.eigvals(m, check_finite=False)
+        values = scipy.linalg.eigvals(m, check_finite=False)
     except scipy.linalg.LinAlgError as exc:   # QR iteration failed to deflate
         raise NonConvergence(str(exc)) from exc
-    order = _sort_order(values)
-    values = values[order]
-    if not want_vectors:
-        return SpectrumResult(eigenvalues=values)
-    # complex even when a real matrix has an all-real spectrum; columns
-    # contiguous, as LAPACK returns them
-    vectors = np.empty(raw.shape, dtype=complex, order="F")
-    worst = 0.0
-    for cols in _column_blocks(len(values)):
-        y = raw[:, order[cols]]
-        y /= np.linalg.norm(y, axis=0)
-        resid = sparse @ y - y * values[cols]
-        worst = max(worst, float(np.linalg.norm(resid, axis=0).max()))
-        vectors[:, cols] = y
-    worst /= scale
-    if worst > BACKWARD_ERROR_TOL:
-        raise NonConvergence(
-            f"eigenpair backward error {worst:.3e} exceeds "
-            f"{BACKWARD_ERROR_TOL:.0e}")
-    return SpectrumResult(eigenvalues=values, eigenvectors=vectors)
-
-
-def _column_blocks(n, size=64):
-    """Slices that cover range(n) in blocks of `size` columns."""
-    return [slice(j, min(j + size, n)) for j in range(0, n, size)]
+    return SpectrumResult(eigenvalues=values[_sort_order(values)])
 
 
 def classify_spectrum(values, reality_tol=DEFAULT_REALITY_TOL,
@@ -166,70 +128,99 @@ def pt_defect(v):
                  / np.linalg.norm(v))
 
 
-def _spurious_cut(g):
-    """Eigenvalues with Re above 2/h^2 are grid artifacts.  The 3-point
-    stencil -D2 maps exp(i k t) to (4/h^2) sin^2(k h / 2): above 2/h^2,
-    half its range [0, 4/h^2], lie only modes shorter than four grid
-    steps (k h > pi/2), which resolve no level of the continuum."""
-    return 2.0 / g.gridstep ** 2
+def _spurious_cut(g, band):
+    """Eigenvalues with Re above 2/h^2 + N u ||A||_1 are grid artifacts,
+    u the unit roundoff and ||A||_1 the largest column sum of |band|.
+
+    The 3-point stencil -D2 maps exp(i k t) to (4/h^2) sin^2(k h / 2):
+    above 2/h^2, half its range, lie only modes shorter than four grid
+    steps, which resolve no level of the continuum.  The margin bounds
+    the rounding of a computed real part.  On angular N = 512 grids
+    (ell = 1, 2) a pair straddles 2/h^2, 2e-3 off at eps = 0.05 and
+    5.4e-9 at 0.1, but only 1.8e-12 to 4.6e-10 for eps = 0.11 to 0.3:
+    there the margin of 3.0e-9 keeps both, where a strict Re > 2/h^2
+    labelled each by the last bit of the solve."""
+    norm = np.abs(band).sum(axis=0).max()
+    return 2.0 / g.gridstep ** 2 + g.npoints * np.finfo(float).eps * norm
 
 
-def solve_spectrum(model, contour, want_vectors=False,
-                   reality_tol=DEFAULT_REALITY_TOL):
-    """Assemble, diagonalize and classify in one call, with values above
-    _spurious_cut labelled spurious.  Eigenvectors are those of the
-    complex operator H on the full grid, not of a real form
-    (_dense_spectrum), each with its PT defect.
-    """
-    raw = _dense_spectrum(model, contour, want_vectors=want_vectors)
-    result = classify_spectrum(raw.eigenvalues, reality_tol=reality_tol,
-                               spurious_cut=_spurious_cut(contour))
-    if want_vectors:
-        v = result.eigenvectors = raw.eigenvectors
-        result.pt_defects = np.array([pt_defect(v[:, i])
-                                      for i in range(v.shape[1])])
-    return result
-
-
-def _dense_spectrum(model, g, want_vectors=False):
-    """Every eigenvalue of the operator on g, sorted by (Re, Im): eig_dense
-    on each real form of contour.real_blocks, the values merged.
-
-    With want_vectors, unit eigenvectors of the complex H on the full
-    grid come aligned column for column.  A block vector y of m points
-    maps to v = S y, with S = ((1 + i) I + (1 - i) J) / 2, so a real y (a
-    real level) gives conj(v[::-1]) == v exactly.  Block b sits on the
-    centred m of the N grid points and extends to the rest by
-    v[j + m] = (-1)^b v[j], scaled by sqrt(m / N) to unit norm; a single
-    block (m = N) is v itself.  The columns are written straight into one
-    N x N array at their merged positions, block by block.
-    """
-    blocks = [eig_dense(a.toarray(), want_vectors=want_vectors)
-              for a in real_blocks(model, g)]
-    values = np.concatenate([b.eigenvalues for b in blocks])
+def solve_spectrum(model, contour, reality_tol=DEFAULT_REALITY_TOL):
+    """Every eigenvalue (_dense_spectrum), classified with _spurious_cut,
+    and the PT defect of its eigenvector of H (_pt_defects)."""
+    blocks, values = _dense_spectrum(model, contour)
+    defects = np.concatenate(list(map(_pt_defects, blocks, values)))
+    values = np.concatenate(values)
     order = _sort_order(values)
-    result = SpectrumResult(eigenvalues=values[order])
-    if not want_vectors:
-        return result
-    n = g.npoints
-    position = np.empty(n, dtype=int)
-    position[order] = np.arange(n)
-    v = np.empty((n, n), dtype=complex, order="F")
-    start = 0
-    for b, block in enumerate(blocks):
-        y = block.eigenvectors
-        m = y.shape[0]
-        q, s, scale = (n - m) // 2, (-1.0) ** b, np.sqrt(m / n)
-        for cols in _column_blocks(m):
-            w = scale * ((0.5 + 0.5j) * y[:, cols]
-                         + (0.5 - 0.5j) * y[::-1, cols])
-            target = position[start + cols.start:start + cols.stop]
-            v[q:q + m, target] = w
-            v[:q, target] = s * w[m - q:]
-            v[q + m:, target] = s * w[:q]
-        start += m
-    result.eigenvectors = v
+    result = classify_spectrum(
+        values[order], reality_tol=reality_tol,
+        spurious_cut=_spurious_cut(contour, folded_band(blocks[0])))
+    result.pt_defects = defects[order]
     return result
+
+
+def _dense_spectrum(model, g):
+    """The real forms of contour.real_blocks and the eigenvalues of each
+    (eig_dense).  Half-grid blocks hold the entries of the full-grid A,
+    so every block has its ||A||_1."""
+    blocks = real_blocks(model, g)
+    return blocks, [eig_dense(a.toarray()).eigenvalues for a in blocks]
+
+
+def _pt_defects(a, values):
+    """pt_defect(S y) for each eigenvalue of the real form a (a block of
+    contour.real_blocks), y its eigenvector.  A value with Im == 0 has a
+    real y, and then conj(J S y) = S y: the defect is exactly 0.0.  A
+    value with Im > 0 takes y from _band_vectors, and its conjugate, with
+    eigenvector conj(y), the same defect.  The sign extension of a
+    half-grid block's vector to the full grid leaves the defect as is."""
+    upper = values[values.imag > 0]
+    y = _band_vectors(a, upper)
+    partner = {z: pt_defect(v) for z, v in zip(
+        upper.tolist(), ((0.5 + 0.5j) * y + (0.5 - 0.5j) * y[::-1]).T)}
+    return np.array([partner.get(complex(z.real, abs(z.imag)), 0.0)
+                     for z in values.tolist()])
+
+
+def _band_vectors(a, shifts):
+    """Unit eigenvectors y (natural order) of the real form a (a COO
+    array), one per computed eigenvalue in `shifts`: one step of inverse
+    iteration, y = (A - lambda)^-1 x, on the folded band of a (Ipsen,
+    SIAM Rev. 39, 254 (1997)), O(N) work per value.
+
+    The start x is a fixed pseudo-random vector: from the J-even ones,
+    angular blocks gave backward errors of about 1.  Pivots below
+    u ||A||_1 are raised to it.  A second step would let a near-degenerate
+    neighbour take over (backward errors 1e-7 to 1e-6).  Each column's
+    ||A y - lambda y|| / ||A||_1, from a CSR copy of a, must stay within
+    BACKWARD_ERROR_TOL; a column above it (3 of 36981 over 588 angular
+    N = 512 and oscillator N = 800 grids, at most 6.6e-10, each a
+    rounding-split doublet near 4/h^2) is redone from the next start in
+    START_SEEDS, and one still above it raises NonConvergence.
+    """
+    n = a.shape[0]
+    band = folded_band(a)
+    norm = np.abs(band).sum(axis=0).max()
+    tiny = np.finfo(float).eps * norm
+    sparse, order = a.tocsr(), folded_order(n)
+    y = np.empty((n, len(shifts)), dtype=complex)
+    todo = np.arange(len(shifts))
+    for seed in START_SEEDS:
+        start = np.random.default_rng(seed).standard_normal(n)
+        w = np.empty((n, len(todo)), dtype=complex)
+        for rows, lu, ipiv in _stacked_lu(band, shifts[todo]):
+            lu[4][np.abs(lu[4]) < tiny] = tiny
+            m = rows.stop - rows.start
+            x, _ = scipy.linalg.lapack.zgbtrs(
+                lu, 2, 2, np.tile(start, m)[:, None], ipiv)
+            w[order, rows] = x.reshape(m, n).T
+        w /= np.linalg.norm(w, axis=0)
+        error = np.linalg.norm(sparse @ w - w * shifts[todo], axis=0) / norm
+        y[:, todo] = w
+        todo = todo[~(error <= BACKWARD_ERROR_TOL)]      # NaN fails too
+        if len(todo) == 0:
+            return y
+    raise NonConvergence(f"eigenpair backward error {error.max():.3e} "
+                         f"exceeds {BACKWARD_ERROR_TOL:.0e}")
 
 
 def solve_lowest(model, contour, count, reality_tol=DEFAULT_REALITY_TOL):
@@ -258,10 +249,9 @@ def solve_lowest(model, contour, count, reality_tol=DEFAULT_REALITY_TOL):
     values strictly inside the disc, or every value when the loop's
     dense solve answers.
     """
-    cut = _spurious_cut(contour)
-    values = _certified_window(
+    values, cut = _certified_window(
         model, contour, 2 * count + 2,
-        lambda band, sigma, values: _certify_window(
+        lambda band, sigma, cut, values: _certify_window(
             band, sigma, values, count, reality_tol, cut))
     return classify_spectrum(values, reality_tol=reality_tol,
                              spurious_cut=cut)
@@ -275,18 +265,19 @@ def _shift(diagonal, g):
 
 
 def _certified_window(model, g, k, certify):
-    """The one shift-invert window loop.  The real form A of the model on
-    g is assembled once, as its folded band (contour.folded_band) for the
-    certificates and as a sparse CSC array for ARPACK, and sigma is
-    _shift of the band's diagonal.  ARPACK returns the k eigenvalues of A
-    nearest to sigma, from a fixed start vector, so every run gives the
-    same window; certify(band, sigma, values) returns the accepted values
-    or None.  When it returns None, or ARPACK fails to converge, k is
-    doubled; once 2k would reach N, every eigenvalue of the dense solve
-    (_dense_spectrum, the path of solve_spectrum) answers instead."""
+    """The one shift-invert window loop: (values, cut).  The real form A
+    on g is assembled once, as its folded band (contour.folded_band) for
+    the certificates and as a CSC array for ARPACK; sigma is _shift of
+    the band's diagonal, cut its _spurious_cut.  ARPACK returns the k
+    eigenvalues of A nearest to sigma from a fixed start vector, so every
+    run gives the same window; certify(band, sigma, cut, values) returns
+    the accepted values or None.  Then, or when ARPACK fails, k doubles;
+    once 2k would reach N, every eigenvalue of the dense solve
+    (_dense_spectrum, as in solve_spectrum) answers instead."""
     a = real_form(model, g)
     band = folded_band(a)
     sigma = _shift(band[2], g)
+    cut = _spurious_cut(g, band)
     a = a.tocsc()
     n = g.npoints
     while 2 * k < n:
@@ -297,11 +288,11 @@ def _certified_window(model, g, k, certify):
         except scipy.sparse.linalg.ArpackError:    # no convergence, mostly
             pass
         else:
-            accepted = certify(band, sigma, values)
+            accepted = certify(band, sigma, cut, values)
             if accepted is not None:
-                return accepted
+                return accepted, cut
         k *= 2
-    return _dense_spectrum(model, g).eigenvalues
+    return np.concatenate(_dense_spectrum(model, g)[1]), cut
 
 
 def _gap_above(re, top):
@@ -425,35 +416,42 @@ def _skew_norm(band):
     return rows.max()
 
 
-def _log_det(band, z):
-    """log det(A - z) = log|det| + i arg det for each z, A given by its
-    folded band; arg det is known modulo 2 pi.
-
-    The shifted bands for several z stand side by side as the blocks of
-    one band matrix with zero coupling, so partial pivoting never crosses
-    a block, and one zgbtrf call factors up to LU_ROWS rows of them.
-    P (A - z) = L U with a unit-diagonal L and P a product of one row
-    interchange per ipiv[j] != j (scipy returns ipiv 0-based), so
-    log det = sum log u_jj + i pi #{j : ipiv[j] != j}.  A singular
-    A - z gives -inf.
-    """
+def _stacked_lu(band, z):
+    """Yield (rows, lu, ipiv): one zgbtrf call factors A - z_i, A given
+    by its folded band, for the shifts z[rows], up to LU_ROWS rows, side
+    by side as the blocks of one band matrix with zero coupling, so
+    partial pivoting never crosses a block.  U's diagonal is lu[4]."""
     n = band.shape[1]
     per_call = max(1, min(len(z), LU_ROWS // n))
     stack = np.zeros((7, per_call * n), dtype=complex, order="F")
     stack[2:] = np.tile(band, per_call)
-    out = np.empty(len(z), dtype=complex)
     for start in range(0, len(z), per_call):
         shifts = z[start:start + per_call]
-        m = len(shifts)
-        ab = stack[:, :m * n].copy(order="F")
+        ab = stack[:, :len(shifts) * n].copy(order="F")
         ab[4] -= np.repeat(shifts, n)
         lu, ipiv, _ = scipy.linalg.lapack.zgbtrf(ab, 2, 2, overwrite_ab=True)
+        yield slice(start, start + len(shifts)), lu, ipiv
+
+
+def _log_det(band, z):
+    """log det(A - z) = log|det| + i arg det for each z, A given by its
+    folded band; arg det is known modulo 2 pi.
+
+    P (A - z) = L U (_stacked_lu) with a unit-diagonal L and P a product
+    of one row interchange per ipiv[j] != j, so
+    log det = sum log u_jj + i pi #{j : ipiv[j] != j}.  A singular
+    A - z gives -inf.
+    """
+    n = band.shape[1]
+    out = np.empty(len(z), dtype=complex)
+    for rows, lu, ipiv in _stacked_lu(band, z):
+        m = rows.stop - rows.start
         u = lu[4]
         swaps = np.count_nonzero((ipiv != np.arange(m * n)).reshape(m, n),
                                  axis=1)
         with np.errstate(divide="ignore"):
             modulus = np.log(np.abs(u)).reshape(m, n).sum(axis=1)
-        out[start:start + m] = modulus + 1j * (
+        out[rows] = modulus + 1j * (
             np.angle(u).reshape(m, n).sum(axis=1) + np.pi * swaps)
     return out
 
@@ -598,12 +596,12 @@ def ptho_numeric_family(c=1.0, npoints=600, halfwidth=10.0, levels=6):
         model = PthoParams(alpha=alpha, c=c)
         g = contour_for(model, npoints=npoints, halfwidth=halfwidth)
 
-        def certify(band, sigma, values):
+        def certify(band, sigma, cut, values):
             x = _gap_above(values.real, np.sort(values.real)[levels - 1])
             if x is None or count_missing(band, sigma, x, values) != 0:
                 return None
             return values[values.real < x]
 
-        values = _certified_window(model, g, 2 * levels + 4, certify)
-        return values[values.real <= _spurious_cut(g)]
+        values, cut = _certified_window(model, g, 2 * levels + 4, certify)
+        return values[values.real <= cut]
     return spectrum

@@ -1,6 +1,7 @@
 """Shared fixtures: the solves are computed once per session and reused
-by the acceptance criteria.  Runs that need eigenvectors solve densely;
-eigenvalue-only runs take the lowest levels from a certified window."""
+by the acceptance criteria.  Runs that need PT defects solve densely
+(eigenvalues only, defects from band vectors); the others take the
+lowest levels from a certified window."""
 
 import numpy as np
 import pytest
@@ -31,8 +32,7 @@ def ptho_grid(alpha, c, npoints):
 
 @pytest.fixture(scope="session")
 def ptho_2000():
-    return ps.solve_spectrum(*ptho_grid(PTHO_ALPHA, PTHO_C, 2000),
-                             want_vectors=True)
+    return ps.solve_spectrum(*ptho_grid(PTHO_ALPHA, PTHO_C, 2000))
 
 
 @pytest.fixture(scope="session")
@@ -59,8 +59,7 @@ def ptho_harmonic():
 def angular_1024():
     model = ps.AngularParams(ell=ANGULAR_ELL, eps=ANGULAR_EPS)
     g = ps.contour_for(model, npoints=1024)
-    return ps.solve_spectrum(model, g, want_vectors=True,
-                             reality_tol=ANGULAR_REALITY_TOL)
+    return ps.solve_spectrum(model, g, reality_tol=ANGULAR_REALITY_TOL)
 
 
 @pytest.fixture(scope="session")

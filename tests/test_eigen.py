@@ -1,4 +1,5 @@
-"""Dense eigensolve, classification, PT defect, matching, and scans."""
+"""Dense eigensolve, band vectors, classification, PT defect, matching,
+and scans."""
 
 import math
 import tracemalloc
@@ -12,9 +13,10 @@ import ptspec as ps
 from ptspec.cli import _analytic_levels
 import ptspec.eigen
 from ptspec.contour import MAX_POINTS, folded_band, real_blocks, real_form
-from ptspec.eigen import (PAIR, REAL, SPURIOUS, _dense_spectrum, _gap_above,
-                          _log_det, _shift, _spurious_cut, count_missing)
-from ptspec.exceptions import InsufficientLevels
+from ptspec.eigen import (PAIR, REAL, SPURIOUS, _band_vectors,
+                          _dense_spectrum, _gap_above, _log_det, _pt_defects,
+                          _shift, _spurious_cut, count_missing)
+from ptspec.exceptions import InsufficientLevels, NonConvergence
 
 from test_contour import complex_stencil
 
@@ -55,16 +57,6 @@ class TestEigDense:
         roots = sorted((complex(r) for r in roots),
                        key=lambda z: (z.real, z.imag))
         assert vals == pytest.approx(roots, abs=1e-9)
-
-    def test_eigenvectors_unit_norm_and_consistent(self):
-        rng = np.random.default_rng(37)
-        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        res = ps.eig_dense(m, want_vectors=True)
-        norms = np.linalg.norm(res.eigenvectors, axis=0)
-        assert np.allclose(norms, 1.0, rtol=1e-13)
-        for i, ev in enumerate(res.eigenvalues):
-            v = res.eigenvectors[:, i]
-            assert np.linalg.norm(m @ v - ev * v) < 1e-10 * np.linalg.norm(m)
 
 
 class TestClassify:
@@ -302,53 +294,94 @@ class TestSpectrumSymmetry:
 
     @pytest.mark.parametrize("npoints", [200, 201])
     def test_eigenvectors_belong_to_the_complex_operator(self, npoints):
-        # vectors mapped back from the real form solve H v = E v, pairs
-        # and an odd grid's middle row included; the ground level
-        # (E ~ -1) is simple and real, and its vector is PT-symmetric
+        # band vectors mapped back from the real form solve H v = E v,
+        # pairs, real levels and an odd grid's middle row included; the
+        # ground level (E ~ -1) is simple and real, with defect 0
         model = ps.PthoParams(1.5, 1.0)
         g = ps.contour_for(model, npoints=npoints, halfwidth=10.0)
-        res = ps.solve_spectrum(model, g, want_vectors=True)
+        ev, v = full_grid_pairs(model, g, band_pairs)
         h = complex_stencil(model, g)
-        v, ev = res.eigenvectors, res.eigenvalues
         backward = (np.linalg.norm(h @ v - v * ev, axis=0)
                     / np.linalg.norm(h, ord=1))
         assert backward.max() <= 1e-10
         assert np.allclose(np.linalg.norm(v, axis=0), 1.0, rtol=1e-13)
+        res = ps.solve_spectrum(model, g)
         assert PAIR in res.classifications
-        ground = int(np.argmin(np.abs(ev + 1.0)))
+        ground = int(np.argmin(np.abs(res.eigenvalues + 1.0)))
         assert res.classifications[ground] == REAL
-        assert res.pt_defects[ground] <= 1e-12
+        assert res.pt_defects[ground] == 0.0
 
     def test_vectors_peak_memory(self):
-        # A (8 N^2 bytes) and LAPACK's copy, real and complex vectors are
-        # unavoidable; the sort, check and S-map work in column blocks,
-        # and the real A is never cast to complex.  The angular grid's two
-        # half-grid blocks write their vectors straight into the one
-        # N x N result
-        for model, n in ((ps.PthoParams(1.5, 1.0), 800),
-                         (ps.AngularParams(ell=1.0, eps=0.1), 1024)):
+        # A's dense image and LAPACK's copy of it (16 N^2 bytes for one
+        # block, 4 N^2 for each of two half-grid blocks) dominate; the
+        # band vectors add O(N) per non-real value.  Measured peaks:
+        # oscillator N = 800 16.5 N^2, angular N = 512 6.9 N^2; the bounds
+        # leave 9% and 16% above them
+        for model, n, bound in ((ps.PthoParams(1.5, 1.0), 800, 18),
+                                (ps.AngularParams(ell=1.0, eps=0.1), 512, 8)):
             g = ps.contour_for(model, npoints=n)
             tracemalloc.start()
             try:
-                res = ps.solve_spectrum(model, g, want_vectors=True,
-                                        reality_tol=1e-4)
+                res = ps.solve_spectrum(model, g, reality_tol=1e-4)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert res.eigenvectors.shape == (n, n)
-            assert peak <= 48 * n * n
+            assert np.count_nonzero(res.eigenvalues.imag) >= 50
+            assert peak <= bound * n * n
 
-    def test_all_real_spectrum_gets_complex_vectors(self):
+    def test_all_real_spectrum_has_zero_defects(self, monkeypatch):
         # ell = 0 leaves the free periodic operator, whose real form is
-        # symmetric: every eigenvalue and every LAPACK vector is real
+        # symmetric: every eigenvalue is real, every defect 0.0, and no
+        # band vector is computed; band vectors of its real values still
+        # solve H v = E v
         model = ps.AngularParams(ell=0.0, eps=0.1)
         g = ps.contour_for(model, npoints=16)
-        res = ps.solve_spectrum(model, g, want_vectors=True)
-        h = complex_stencil(model, g)
-        v = res.eigenvectors
+        asked = []
+        original = ptspec.eigen._band_vectors
+
+        def band_vectors(a, shifts):
+            asked.append(len(shifts))
+            return original(a, shifts)
+        monkeypatch.setattr(ptspec.eigen, "_band_vectors", band_vectors)
+        res = ps.solve_spectrum(model, g)
         assert np.all(res.eigenvalues.imag == 0.0)
-        assert v.dtype == complex
-        assert np.abs(h @ v - v * res.eigenvalues).max() <= 1e-12
+        assert np.all(res.pt_defects == 0.0) and set(asked) == {0}
+        ev, v = full_grid_pairs(model, g, band_pairs)
+        h = complex_stencil(model, g)
+        assert np.abs(h @ v - v * ev).max() <= 1e-12
+
+
+def band_pairs(a):
+    """The eigenvalues of the real form a (eig_dense) and a band vector
+    for every one of them."""
+    values = ps.eig_dense(a.toarray()).eigenvalues
+    return values, _band_vectors(a, values)
+
+
+def eig_pairs(a):
+    """Reference eigenpairs of the real form a from np.linalg.eig."""
+    return np.linalg.eig(a.toarray())
+
+
+def s_map(y):
+    """v = S y, S = ((1 + i) I + (1 - i) J) / 2, column by column."""
+    return (0.5 + 0.5j) * y + (0.5 - 0.5j) * y[::-1]
+
+
+def full_grid_pairs(model, g, pairs):
+    """Eigenvalues and unit eigenvectors of the complex H on the full
+    grid from pairs(a) on each real form of real_blocks: v = S y, and
+    block b, centred on the grid, extends by v[j + m] = (-1)^b v[j]."""
+    n = g.npoints
+    values, vectors = [], []
+    for b, a in enumerate(real_blocks(model, g)):
+        w, y = pairs(a)
+        m = len(w)
+        q, sign = (n - m) // 2, (-1.0) ** b
+        v = s_map(y) * np.sqrt(m / n)
+        values.append(w)
+        vectors.append(np.concatenate([sign * v[m - q:], v, sign * v[:q]]))
+    return np.concatenate(values), np.concatenate(vectors, axis=1)
 
 
 class TestSymmetryBlocks:
@@ -360,8 +393,9 @@ class TestSymmetryBlocks:
     def test_block_values_are_the_full_grid_spectrum(self, ell, lam,
                                                       npoints):
         # H is complex symmetric, so the left eigenvector of a unit right
-        # vector v is conj(v) and kappa = 1 / |v^T v|.  Each block value
-        # with kappa <= 1e3 must lie within N kappa u ||H||_1 of a
+        # vector v is conj(v) and kappa = 1 / |v^T v|, here from the
+        # reference vectors of np.linalg.eig on each block.  Each block
+        # value with kappa <= 1e3 must lie within N kappa u ||H||_1 of a
         # full-grid eigenvalue, and each full-grid eigenvalue whose
         # nearest block value has kappa <= 1e3 within as much of it: a
         # block whose spectrum is a true subset (both corners -1/h^2)
@@ -369,8 +403,11 @@ class TestSymmetryBlocks:
         model = ps.AngularParams(ell=ell, lam=lam, eps=0.1)
         g = ps.contour_for(model, npoints=npoints)
         assert len(real_blocks(model, g)) == 2
-        got = _dense_spectrum(model, g, want_vectors=True)
-        values, v = got.eigenvalues, got.eigenvectors
+        values = ps.solve_spectrum(model, g, reality_tol=1e-4).eigenvalues
+        reference, v = full_grid_pairs(model, g, eig_pairs)
+        kappa = 1.0 / np.abs(np.sum(v * v, axis=0))
+        kappa = kappa[np.abs(values[:, None]
+                             - reference[None, :]).argmin(axis=1)]
         h = complex_stencil(model, g)
         full = np.linalg.eigvals(h)
         assert len(values) == npoints
@@ -378,7 +415,6 @@ class TestSymmetryBlocks:
                               np.arange(npoints))
         assert conjugation_closed(values)
         assert abs(values.sum() - np.trace(h)) <= 1e-12 * abs(np.trace(h))
-        kappa = 1.0 / np.abs(np.sum(v * v, axis=0))
         bound = npoints * kappa * np.finfo(float).eps * np.linalg.norm(h, 1)
         well = kappa <= 1e3
         assert np.count_nonzero(well) >= npoints // 4
@@ -392,22 +428,20 @@ class TestSymmetryBlocks:
         (1.0, 0.0, 64), (2.0, 0.7, 128), (1.0, 0.0, 512), (2.0, 0.0, 512)])
     def test_block_vectors_solve_the_full_grid_operator(self, ell, lam,
                                                         npoints):
-        # each block vector, mapped by S and extended to the full grid
-        # with its sign, is a unit eigenvector of the full-grid H; a real
-        # level's vector is exactly PT-symmetric
+        # each block's band vectors, mapped by S and extended to the full
+        # grid with its sign, are unit eigenvectors of the full-grid H; a
+        # real level's defect is exactly 0
         model = ps.AngularParams(ell=ell, lam=lam, eps=0.1)
         g = ps.contour_for(model, npoints=npoints)
-        res = ps.solve_spectrum(model, g, want_vectors=True,
-                                reality_tol=1e-4)
+        ev, v = full_grid_pairs(model, g, band_pairs)
         h = complex_stencil(model, g)
-        v, ev = res.eigenvectors, res.eigenvalues
         backward = (np.linalg.norm(h @ v - v * ev, axis=0)
                     / np.linalg.norm(h, ord=1))
-        assert v.shape == (npoints, npoints) and v.flags.f_contiguous
+        assert v.shape == (npoints, npoints)
         assert backward.max() <= 1e-10
         assert np.allclose(np.linalg.norm(v, axis=0), 1.0, rtol=1e-13)
-        assert np.linalg.matrix_rank(v) == npoints
-        real = ev.imag == 0
+        res = ps.solve_spectrum(model, g, reality_tol=1e-4)
+        real = res.eigenvalues.imag == 0
         assert np.count_nonzero(real) >= 7
         assert np.all(res.pt_defects[real] == 0.0)
 
@@ -422,15 +456,16 @@ class TestSymmetryBlocks:
         g = ps.contour_for(model, npoints=npoints, halfwidth=8.0)
         blocks = real_blocks(model, g)
         assert len(blocks) == 1
-        assert np.array_equal(blocks[0].toarray(),
-                              ps.build_hamiltonian(model, g))
-        got = _dense_spectrum(model, g, want_vectors=True)
-        dense = ps.eig_dense(ps.build_hamiltonian(model, g),
-                             want_vectors=True)
-        assert np.array_equal(got.eigenvalues, dense.eigenvalues)
-        y = dense.eigenvectors
-        assert np.array_equal(got.eigenvectors,
-                              (0.5 + 0.5j) * y + (0.5 - 0.5j) * y[::-1])
+        a = ps.build_hamiltonian(model, g)
+        assert np.array_equal(blocks[0].toarray(), a)
+        values = ps.eig_dense(a).eigenvalues
+        assert np.array_equal(_dense_spectrum(model, g)[1][0], values)
+        res = ps.solve_spectrum(model, g)
+        assert np.array_equal(res.eigenvalues, values)
+        upper = values.imag > 0
+        y = _band_vectors(real_form(model, g), values[upper])
+        assert np.array_equal(res.pt_defects[upper],
+                              [ps.pt_defect(v) for v in s_map(y).T])
 
     def test_half_grid_blocks_keep_the_size_cap(self):
         # the cap is on the full grid N, though each block has N/2 points
@@ -444,6 +479,123 @@ class TestSymmetryBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+class TestBandVectors:
+    """One step of inverse iteration on the folded band, and the PT
+    defects solve_spectrum takes from it."""
+
+    def test_vectors_unit_norm_and_consistent(self):
+        # any real matrix with the real form's pattern (tridiagonal,
+        # antidiagonal, periodic corners) is a band in the folded order
+        rng = np.random.default_rng(37)
+        n = 9
+        dense = (np.diag(rng.normal(size=n))
+                 + np.diag(rng.normal(size=n - 1), 1)
+                 + np.diag(rng.normal(size=n - 1), -1)
+                 + np.fliplr(np.diag(rng.normal(size=n))))
+        dense[0, -1], dense[-1, 0] = rng.normal(size=2)
+        a = scipy.sparse.coo_array(dense)
+        values = ps.eig_dense(dense).eigenvalues
+        assert np.count_nonzero(values.imag) >= 2
+        y = _band_vectors(a, values)
+        assert np.allclose(np.linalg.norm(y, axis=0), 1.0, rtol=1e-13)
+        for i, ev in enumerate(values):
+            assert (np.linalg.norm(dense @ y[:, i] - ev * y[:, i])
+                    <= 1e-10 * np.linalg.norm(dense, 1))
+
+    def test_exactly_singular_shift_is_clamped(self):
+        # A - 2 has an exact zero pivot; raised to u ||A||_1 it gives the
+        # exact eigenvector instead of inf or NaN
+        a = scipy.sparse.coo_array(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))
+        y = _band_vectors(a, np.array([2.0 + 0j]))
+        assert np.all(np.isfinite(y))
+        assert np.abs(y[:, 0]) == pytest.approx([0, 1, 0, 0, 0], abs=1e-15)
+
+    def test_large_backward_error_raises(self, monkeypatch):
+        model = ps.PthoParams(1.5, 1.0)
+        g = ps.contour_for(model, npoints=64, halfwidth=8.0)
+        monkeypatch.setattr(ptspec.eigen, "BACKWARD_ERROR_TOL", 1e-30)
+        with pytest.raises(NonConvergence, match="backward"):
+            ps.solve_spectrum(model, g)
+
+    @pytest.mark.parametrize("model,npoints,compared", [
+        (ps.PthoParams(1.5, 1.0), 200, 30),
+        (ps.PthoParams(1.5, 1.0), 201, 30),
+        (ps.AngularParams(ell=1.0, eps=0.1), 64, 6),
+        (ps.AngularParams(ell=2.0, lam=0.7, eps=0.1), 128, 30),
+        # every non-real value here is a rounding-split doublet
+        (ps.AngularParams(ell=1.0, eps=0.1), 512, 0),
+    ])
+    def test_defects_match_the_eig_reference(self, model, npoints,
+                                             compared):
+        # per block, against pt_defect(S y) of np.linalg.eig's vectors.
+        # A vector is fixed only to about its backward error over the gap
+        # to the next eigenvalue, so the defects are compared where
+        # kappa <= 1e3 and that gap exceeds 1e-6 max(1, |lambda|); the
+        # two members of a doublet split by rounding (gap ~1e-8 at
+        # N = 512) have defects of about 1e-3 that differ between any
+        # two solvers
+        g = ps.contour_for(model, npoints=npoints, halfwidth=10.0)
+        checked = 0
+        for a in real_blocks(model, g):
+            values = ps.eig_dense(a.toarray()).eigenvalues
+            defects = _pt_defects(a, values)
+            assert np.all(defects[values.imag == 0] == 0.0)
+            partner = dict(zip(values.tolist(), defects))
+            assert all(partner[np.conj(z)] == d
+                       for z, d in zip(values.tolist(), defects))
+            reference, y = eig_pairs(a)
+            v = s_map(y)
+            nearest = np.abs(values[:, None]
+                             - reference[None, :]).argmin(axis=1)
+            kappa = 1.0 / np.abs(np.sum(v * v, axis=0))[nearest]
+            gap = np.sort(np.abs(values[:, None] - values[None, :]),
+                          axis=1)[:, 1]
+            check = ((values.imag != 0) & (kappa <= 1e3)
+                     & (gap > 1e-6 * np.maximum(1.0, np.abs(values))))
+            expected = [ps.pt_defect(v[:, i]) for i in nearest[check]]
+            assert defects[check] == pytest.approx(expected, abs=1e-9)
+            checked += np.count_nonzero(check)
+        assert checked >= compared
+        first = ps.solve_spectrum(model, g, reality_tol=1e-4)
+        second = ps.solve_spectrum(model, g, reality_tol=1e-4)
+        assert first.pt_defects.tobytes() == second.pt_defects.tobytes()
+        assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+
+
+class TestSpuriousCut:
+    @pytest.mark.parametrize("ell", [1.0, 2.0])
+    def test_pair_at_the_cutoff_shares_one_label(self, ell):
+        # at N = 512 a pair lies within 5e-10 of 2/h^2 from eps = 0.11
+        # on; a strict Re > 2/h^2 labelled its members by the last bit,
+        # differently between eps = 0.125 and 0.13 and between eigvals
+        # and eig.  Inside the margin N u ||A||_1 they share one label
+        for eps in (0.11, 0.125, 0.13, 0.15, 0.2, 0.3):
+            model = ps.AngularParams(ell=ell, eps=eps)
+            g = ps.contour_for(model, npoints=512)
+            blocks = real_blocks(model, g)
+            # the blocks hold the full-grid A's entries: one ||A||_1
+            norms = [np.abs(folded_band(a)).sum(axis=0).max()
+                     for a in blocks + [real_form(model, g)]]
+            assert norms == pytest.approx([norms[-1]] * 3, rel=1e-15)
+            cut = _spurious_cut(g, folded_band(blocks[0]))
+            middle = 2.0 / g.gridstep ** 2
+            assert cut - middle == pytest.approx(
+                512 * np.finfo(float).eps * norms[-1],
+                abs=2 * np.spacing(middle))
+            res = ps.solve_spectrum(model, g, reality_tol=1e-4)
+            reference = ps.classify_spectrum(
+                np.concatenate([eig_pairs(a)[0] for a in blocks]),
+                reality_tol=1e-4, spurious_cut=cut)
+            for got in (res, reference):
+                labels = np.array(got.classifications)
+                near = np.abs(got.eigenvalues - middle) < 1e-6
+                assert np.count_nonzero(near) == 2
+                assert len(set(labels[near])) == 1
+                assert SPURIOUS not in labels[near]
+            assert (sorted(res.classifications)
+                    == sorted(reference.classifications))
 
 
 class TestSolveLowest:
@@ -720,7 +872,8 @@ def dense_family(c, npoints, halfwidth):
         model = ps.PthoParams(alpha=alpha, c=c)
         g = ps.contour_for(model, npoints=npoints, halfwidth=halfwidth)
         values = ps.eig_dense(ps.build_hamiltonian(model, g)).eigenvalues
-        return values[values.real <= _spurious_cut(g)]
+        cut = _spurious_cut(g, folded_band(real_form(model, g)))
+        return values[values.real <= cut]
     return spectrum
 
 
