@@ -6,16 +6,15 @@ independent finite-difference eigensolver on shifted complex contours
 (``ptspec``).
 """
 
-from .contour import (Contour, build_hamiltonian, contour_for, grid_points,
-                      periodic_contour, potential_value, straight_contour)
+from .contour import (Contour, contour_for, grid_points, periodic_contour,
+                      potential_value, straight_contour)
 from .eigen import (Crossing, ScanResult, classify_spectrum,
                     crossing_params, eig_dense, match_spectra, pt_defect,
                     ptho_analytic_family, ptho_numeric_family,
                     scan_parameter, solve_lowest, solve_spectrum)
-from .models import (AnalyticLevel, AngularParams, HypergeomIndices,
-                     PthoParams, angular_energy, angular_is_degenerate,
-                     angular_wavefunction, hypergeom_indices,
-                     hypergeom_solution, ptho_energy, ptho_levels,
+from .models import (AnalyticLevel, AngularParams, PthoParams,
+                     angular_energy, angular_is_degenerate,
+                     angular_wavefunction, ptho_energy, ptho_levels,
                      ptho_wavefunction, termination_levels)
 from .specfun import cpow, gegenbauer, hyp2f1, laguerre
 

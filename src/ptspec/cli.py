@@ -411,10 +411,10 @@ def main(argv=None):
                               " file, or in a missing or read-only directory")
         cfg = load_config(args.config)
         model, g = cfg.build()
-        # spectrum assembles the dense real N x N form of the operator
-        # (8 N^2 bytes); verify and scan fall back to it when a window
-        # solve is not certified.  wavefunction writes a row per grid
-        # point.
+        # spectrum solves each real form block as one dense array in
+        # eig_dense (8 N^2 bytes for the full grid); verify and scan fall
+        # back to that solve when a window is not certified.
+        # wavefunction writes a row per grid point.
         cap = MAX_ROWS if args.command == "wavefunction" else MAX_POINTS
         if g.npoints > cap:
             raise ConfigError(f"contour.npoints {g.npoints} exceeds the "

@@ -22,8 +22,8 @@ S = (e^{i pi/4} I + e^{-i pi/4} J) / sqrt(2),
     A = S* H S = tridiag(-1/h^2, 2/h^2 + Re V, -1/h^2) + antidiag(Im V),
 
 plus the periodic corners; row j of the antidiagonal holds Im V_j.
-real_form assembles A from these O(N) entries as a sparse matrix, and
-build_hamiltonian returns its dense image; the complex H is never formed.
+real_form assembles A from these O(N) entries as a sparse matrix; the
+complex H is never formed, and only eigen.eig_dense makes A dense.
 In the folded order (0, N-1, 1, N-2, ...) the antidiagonal and the
 periodic corners sit next to the diagonal and the tridiagonal couplings
 two places off it, so folded_band stores A as a band with two sub- and
@@ -52,7 +52,7 @@ from .exceptions import SingularPoint
 from .models import AngularParams, PthoParams, require_finite
 
 MIN_POINTS = 16
-MAX_POINTS = 4096    # largest grid real_form assembles (dense A: 8 N^2 bytes)
+MAX_POINTS = 4096    # largest grid real_form assembles (eig_dense: 8 N^2 bytes)
 DEFAULT_HALFWIDTH = 12.0
 
 
@@ -227,9 +227,3 @@ def folded_band(a):
     np.add.at(band, (2 + i - j, j), a.data)
     return band
 
-
-def build_hamiltonian(model, g: Contour):
-    """The real form A as a dense float64 N x N array: the dense image of
-    real_form, which checks the PT structure and the MAX_POINTS cap
-    before the matrix is allocated."""
-    return real_form(model, g).toarray()

@@ -1,14 +1,16 @@
 """Non-Hermitian spectra: solve, classify, verify, scan.
 
 The full spectrum comes from LAPACK's balanced Hessenberg QR
-(scipy.linalg.eigvals, no eigenvectors) on the dense image of each real
-form A = S* H S of contour.real_blocks: the two half-grid blocks of the
-pi-periodic angular operator when N % 4 == 0, a quarter of one full-grid
-solve, and the full-grid A otherwise.  Every non-real eigenvalue comes
-with its exact conjugate and real ones have Im == 0.  The PT defect of
-each eigenvector of H = S A S* costs O(N): 0 for a real value, and from
-one step of inverse iteration on the folded band of A
-(contour.folded_band) for a non-real one (_band_vectors).
+(scipy.linalg.eigvals, no eigenvectors) on each real form A = S* H S of
+contour.real_blocks: the two half-grid blocks of the pi-periodic angular
+operator when N % 4 == 0, a quarter of one full-grid solve, and the
+full-grid A otherwise.  eig_dense makes the package's only dense
+matrix, one block's Fortran-order copy, which LAPACK then overwrites.
+Every non-real eigenvalue comes with its exact conjugate and real ones
+have Im == 0.  The PT defect of each eigenvector of H = S A S* costs
+O(N): 0 for a real value, and from one step of inverse iteration on the
+folded band of A (contour.folded_band) for a non-real one
+(_band_vectors).
 The lowest levels alone come from one shift-invert window loop: ARPACK
 on the sparse full-grid A, with k doubled until a certificate accepts
 the window, and the dense eigenvalues once 2k would reach N.  Both
@@ -55,13 +57,11 @@ class SpectrumResult:
     """Eigenvalues sorted by (Re, Im), with per-value classification and
     PT defect where they were computed."""
     eigenvalues: np.ndarray
-    classifications: list = None
+    classifications: list
     pt_defects: np.ndarray = None
 
     def real_values(self):
         """Retained real eigenvalues (classification 'real'), ascending."""
-        if self.classifications is None:
-            raise ValueError("spectrum has not been classified")
         mask = np.array([c == REAL for c in self.classifications], bool)
         return self.eigenvalues[mask].real
 
@@ -70,16 +70,19 @@ def _sort_order(values):
     return np.lexsort((values.imag, values.real))
 
 
-def eig_dense(m):
-    """Every eigenvalue of a dense real or complex matrix, such as the
-    real form that build_hamiltonian returns, sorted by real part
-    (imaginary part breaks ties): LAPACK's balanced Hessenberg QR, with
-    no eigenvectors."""
+def eig_dense(a):
+    """Every eigenvalue of one real form block `a` (a scipy.sparse array
+    from contour.real_blocks), sorted by real part (imaginary part breaks
+    ties): LAPACK's balanced Hessenberg QR, with no eigenvectors.  The
+    block's dense Fortran-order copy is made here and handed to LAPACK to
+    overwrite: it is the one N x N array of the solve, and `a` stays
+    unchanged."""
     try:
-        values = scipy.linalg.eigvals(m, check_finite=False)
+        values = scipy.linalg.eigvals(a.toarray(order="F"), overwrite_a=True,
+                                      check_finite=False)
     except scipy.linalg.LinAlgError as exc:   # QR iteration failed to deflate
         raise NonConvergence(str(exc)) from exc
-    return SpectrumResult(eigenvalues=values[_sort_order(values)])
+    return values[_sort_order(values)]
 
 
 def classify_spectrum(values, reality_tol=DEFAULT_REALITY_TOL,
@@ -163,7 +166,7 @@ def _dense_spectrum(model, g):
     (eig_dense).  Half-grid blocks hold the entries of the full-grid A,
     so every block has its ||A||_1."""
     blocks = real_blocks(model, g)
-    return blocks, [eig_dense(a.toarray()).eigenvalues for a in blocks]
+    return blocks, [eig_dense(a) for a in blocks]
 
 
 def _pt_defects(a, values):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import UnsupportedModel
 from .specfun import (cpow, gegenbauer, gegenbauer_is_degenerate,
-                      gegenbauer_renormalized, hyp2f1, laguerre)
+                      gegenbauer_renormalized, laguerre)
 
 
 def require_finite(params):
@@ -72,16 +72,6 @@ class AngularParams:
     @property
     def alpha(self):
         return self.ell + 0.5
-
-
-@dataclass(frozen=True)
-class HypergeomIndices:
-    """Parameters (u, v) of one hypergeometric solution branch, together
-    with the separation constant beta they encode: 2u = 1/2 - beta + s*alpha
-    and 2v = 1/2 + beta + s*alpha for branch sign s."""
-    u: float
-    v: float
-    beta: float
 
 
 @dataclass(frozen=True)
@@ -177,38 +167,6 @@ def angular_is_degenerate(k, qparity, p: AngularParams):
     """True when the (k, qparity) level's polynomial factor required the
     renormalized limit."""
     return gegenbauer_is_degenerate(k, 0.5 + qparity * p.alpha)
-
-
-def hypergeom_indices(k, qparity, p: AngularParams):
-    """Indices of the terminating hypergeometric branch for level k.
-
-    Inverts the termination condition 2u = -2k, giving the bookkeeping
-    value beta = 2k + 1/2 + qparity * alpha; shipped energies never use
-    beta.
-    """
-    _check_sign(qparity)
-    beta = 2.0 * k + 0.5 + qparity * p.alpha
-    u = 0.5 * (0.5 - beta + qparity * p.alpha)
-    v = 0.5 * (0.5 + beta + qparity * p.alpha)
-    return HypergeomIndices(u=u, v=v, beta=beta)
-
-
-def hypergeom_solution(qparity, idx: HypergeomIndices, p: AngularParams, phi):
-    """General hypergeometric solution branch at the shifted point:
-
-        (sin z)^(1/2 + s*alpha) 2F1(u, v; 1 + s*alpha; sin^2 z).
-    """
-    _check_sign(qparity)
-    if p.lam != 0.0:
-        raise UnsupportedModel("hypergeometric solutions require lam = 0")
-    z = np.asarray(phi, dtype=float) - 1j * p.eps
-    s2 = np.sin(z) ** 2
-    if np.ndim(s2) == 0:
-        f = hyp2f1(idx.u, idx.v, 1.0 + qparity * p.alpha, s2)
-    else:
-        f = np.array([hyp2f1(idx.u, idx.v, 1.0 + qparity * p.alpha, zz)
-                      for zz in s2.ravel()]).reshape(s2.shape)
-    return cpow(np.sin(z), 0.5 + qparity * p.alpha) * f
 
 
 def termination_levels(p: AngularParams, kmax):

@@ -161,12 +161,12 @@ class TestHamiltonian:
     ])
     def test_pt_structure_exact(self, model, npoints):
         g = ps.contour_for(model, npoints=npoints, halfwidth=8.0)
-        m = ps.build_hamiltonian(model, g)
+        m = real_form(model, g).toarray()
         assert np.array_equal(m, np.conj(m[::-1, ::-1]).T)
 
     def test_dense_square_real(self):
         g = ps.straight_contour(npoints=32, halfwidth=8.0)
-        m = ps.build_hamiltonian(ps.PthoParams(0.5, 1.0), g)
+        m = real_form(ps.PthoParams(0.5, 1.0), g).toarray()
         assert m.shape == (32, 32) and m.dtype == np.float64
         assert m[0, 1] == -1.0 / g.gridstep ** 2
 
@@ -183,7 +183,7 @@ class TestHamiltonian:
         # persymmetric; it cannot be symmetric, as its spectrum has
         # conjugate pairs
         g = ps.contour_for(model, npoints=npoints, halfwidth=8.0)
-        a = ps.build_hamiltonian(model, g)
+        a = real_form(model, g).toarray()
         h = complex_stencil(model, g)
         s = similarity(npoints)
         assert a.dtype == np.float64
@@ -210,7 +210,7 @@ class TestHamiltonian:
         # periodic corners and the middle rows included, lies at most two
         # places off the diagonal; band[2 + i - j, j] holds entry (i, j)
         g = ps.contour_for(model, npoints=npoints, halfwidth=8.0)
-        a = ps.build_hamiltonian(model, g)
+        a = real_form(model, g).toarray()
         band = folded_band(real_form(model, g))
         order = [k for pair in zip(range(npoints), range(npoints - 1, -1, -1))
                  for k in pair][:npoints]
@@ -226,10 +226,11 @@ class TestHamiltonian:
         assert not np.concatenate(outside).any()
 
     def test_non_pt_potential_rejected_before_allocation(self, monkeypatch):
-        # the dense assembly and the sparse window solve both check first
+        # the assembly, the dense solve and the window solve all check
+        # first
         break_pt(monkeypatch)
         g = ps.straight_contour(npoints=4000, halfwidth=8.0)
-        for solve in (ps.build_hamiltonian,
+        for solve in (real_form, ps.solve_spectrum,
                       lambda model, g: ps.solve_lowest(model, g, 8)):
             tracemalloc.start()
             try:
@@ -249,23 +250,25 @@ class TestHamiltonian:
         assert captured.out == "" and "PT" in captured.err
 
     def test_assembly_peak_memory_is_one_real_matrix(self):
-        # 8 N^2 bytes for A; the complex H would take twice that
+        # A is assembled from its O(N) entries, and no dense matrix is
+        # allocated: the dense A alone would take 8 N^2 bytes
         n = 2000
         g = ps.straight_contour(npoints=n, halfwidth=12.0)
         tracemalloc.start()
         try:
-            a = ps.build_hamiltonian(ps.PthoParams(1.5, 1.0), g)
+            a = real_form(ps.PthoParams(1.5, 1.0), g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert a.nbytes == 8 * n * n
-        assert peak <= 8 * n * n + 256 * n
+        assert a.shape == (n, n) and a.nnz <= 4 * n
+        assert peak <= 256 * n
 
     def test_oversize_grid_rejected_before_allocation(self):
-        # the dense 5000-point operator would take 200 MB; the window
-        # solve, whose fallback is dense, has the same cap
+        # the dense 5000-point operator would take 200 MB; the assembly,
+        # the dense solve and the window solve, whose fallback is dense,
+        # share the cap
         g = ps.straight_contour(npoints=5000, halfwidth=8.0)
-        for solve in (ps.build_hamiltonian,
+        for solve in (real_form, ps.solve_spectrum,
                       lambda model, g: ps.solve_lowest(model, g, 8)):
             tracemalloc.start()
             try:
@@ -282,7 +285,7 @@ class TestHamiltonian:
         # 2(1 - cos(2 pi k / N)) / h^2
         n = 16
         g = ps.periodic_contour(npoints=n)
-        m = ps.build_hamiltonian(ps.AngularParams(ell=0.0, eps=0.1), g)
+        m = real_form(ps.AngularParams(ell=0.0, eps=0.1), g).toarray()
         got = np.sort(np.linalg.eigvals(m).real)
         h = g.gridstep
         expect = np.sort(2.0 * (1 - np.cos(2 * np.pi * np.arange(n) / n))
@@ -295,7 +298,7 @@ class TestHamiltonian:
         def err(npoints):
             model = ps.PthoParams(0.5, 1.0)
             g = ps.straight_contour(npoints, halfwidth=12.0)
-            vals = ps.eig_dense(ps.build_hamiltonian(model, g)).eigenvalues
+            vals = ps.eig_dense(real_form(model, g))
             return abs(vals[0] - 1.0)
 
         assert err(201) / err(401) > 3.8

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 import ptspec as ps
@@ -36,14 +37,14 @@ def faddeev_leverrier(m):
 class TestEigDense:
     def test_symmetric_flip(self):
         m = np.array([[0, 1], [1, 0]], dtype=complex)
-        vals = ps.eig_dense(m).eigenvalues
+        vals = ps.eig_dense(scipy.sparse.coo_array(m))
         assert vals == pytest.approx([-1.0, 1.0], abs=1e-14)
 
     def test_antisymmetric_flip(self):
         # the (Re, Im) sort is ambiguous at Re = 0 +/- rounding, so
         # compare after ordering by imaginary part
         m = np.array([[0, 1], [-1, 0]], dtype=complex)
-        vals = ps.eig_dense(m).eigenvalues
+        vals = ps.eig_dense(scipy.sparse.coo_array(m))
         vals = vals[np.argsort(vals.imag)]
         assert vals == pytest.approx([-1j, 1j], abs=1e-14)
 
@@ -51,12 +52,29 @@ class TestEigDense:
         mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(31)
         m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        vals = ps.eig_dense(m).eigenvalues
+        vals = ps.eig_dense(scipy.sparse.coo_array(m))
         roots = mp.polyroots([mp.mpc(c) for c in faddeev_leverrier(m)],
                              maxsteps=200, extraprec=100)
         roots = sorted((complex(r) for r in roots),
                        key=lambda z: (z.real, z.imag))
         assert vals == pytest.approx(roots, abs=1e-9)
+
+    @pytest.mark.parametrize("model,npoints", [
+        (ps.PthoParams(1.5, 1.0), 64), (ps.PthoParams(1.5, 1.0), 65),
+        (ps.AngularParams(ell=1.0, eps=0.1), 64)])
+    def test_argument_unchanged(self, model, npoints):
+        # LAPACK overwrites the dense copy eig_dense makes, never the
+        # caller's block, and the values are those of an eigvals call
+        # that leaves its input alone, bit for bit
+        g = ps.contour_for(model, npoints=npoints, halfwidth=8.0)
+        for a in real_blocks(model, g):
+            before = a.toarray()
+            values = ps.eig_dense(a)
+            assert np.array_equal(a.toarray(), before)
+            reference = scipy.linalg.eigvals(before)
+            assert np.array_equal(
+                values,
+                reference[np.lexsort((reference.imag, reference.real))])
 
 
 class TestClassify:
@@ -271,7 +289,7 @@ class TestSpectrumSymmetry:
         # closed under complex conjugation; the real form keeps it exact
         model = ps.PthoParams(1.5, 1.0)
         g = ps.contour_for(model, npoints=64, halfwidth=8.0)
-        vals = ps.eig_dense(ps.build_hamiltonian(model, g)).eigenvalues
+        vals = ps.eig_dense(real_form(model, g))
         assert conjugation_closed(vals)
 
     def test_strong_shift_stays_conjugation_closed(self):
@@ -312,12 +330,14 @@ class TestSpectrumSymmetry:
         assert res.pt_defects[ground] == 0.0
 
     def test_vectors_peak_memory(self):
-        # A's dense image and LAPACK's copy of it (16 N^2 bytes for one
-        # block, 4 N^2 for each of two half-grid blocks) dominate; the
-        # band vectors add O(N) per non-real value.  Measured peaks:
-        # oscillator N = 800 16.5 N^2, angular N = 512 6.9 N^2; the bounds
-        # leave 9% and 16% above them
-        for model, n, bound in ((ps.PthoParams(1.5, 1.0), 800, 18),
+        # the one dense copy of A that eig_dense hands LAPACK to
+        # overwrite (8 N^2 bytes for one block, 2 N^2 for each of two
+        # half-grid blocks) and the band vectors, O(N) per non-real
+        # value, dominate; for the angular blocks the band vectors and
+        # their stacked LUs outweigh the dense copy.  Measured peaks:
+        # oscillator N = 800 8.53 N^2, angular N = 512 7.36 N^2; the
+        # bounds leave 9% above each
+        for model, n, bound in ((ps.PthoParams(1.5, 1.0), 800, 9.3),
                                 (ps.AngularParams(ell=1.0, eps=0.1), 512, 8)):
             g = ps.contour_for(model, npoints=n)
             tracemalloc.start()
@@ -354,7 +374,7 @@ class TestSpectrumSymmetry:
 def band_pairs(a):
     """The eigenvalues of the real form a (eig_dense) and a band vector
     for every one of them."""
-    values = ps.eig_dense(a.toarray()).eigenvalues
+    values = ps.eig_dense(a)
     return values, _band_vectors(a, values)
 
 
@@ -456,14 +476,14 @@ class TestSymmetryBlocks:
         g = ps.contour_for(model, npoints=npoints, halfwidth=8.0)
         blocks = real_blocks(model, g)
         assert len(blocks) == 1
-        a = ps.build_hamiltonian(model, g)
-        assert np.array_equal(blocks[0].toarray(), a)
-        values = ps.eig_dense(a).eigenvalues
+        a = real_form(model, g)
+        assert np.array_equal(blocks[0].toarray(), a.toarray())
+        values = ps.eig_dense(a)
         assert np.array_equal(_dense_spectrum(model, g)[1][0], values)
         res = ps.solve_spectrum(model, g)
         assert np.array_equal(res.eigenvalues, values)
         upper = values.imag > 0
-        y = _band_vectors(real_form(model, g), values[upper])
+        y = _band_vectors(a, values[upper])
         assert np.array_equal(res.pt_defects[upper],
                               [ps.pt_defect(v) for v in s_map(y).T])
 
@@ -496,7 +516,7 @@ class TestBandVectors:
                  + np.fliplr(np.diag(rng.normal(size=n))))
         dense[0, -1], dense[-1, 0] = rng.normal(size=2)
         a = scipy.sparse.coo_array(dense)
-        values = ps.eig_dense(dense).eigenvalues
+        values = ps.eig_dense(a)
         assert np.count_nonzero(values.imag) >= 2
         y = _band_vectors(a, values)
         assert np.allclose(np.linalg.norm(y, axis=0), 1.0, rtol=1e-13)
@@ -539,7 +559,7 @@ class TestBandVectors:
         g = ps.contour_for(model, npoints=npoints, halfwidth=10.0)
         checked = 0
         for a in real_blocks(model, g):
-            values = ps.eig_dense(a.toarray()).eigenvalues
+            values = ps.eig_dense(a)
             defects = _pt_defects(a, values)
             assert np.all(defects[values.imag == 0] == 0.0)
             partner = dict(zip(values.tolist(), defects))
@@ -771,7 +791,7 @@ class TestCountMissing:
         # At a real shift, as in solve_lowest's parity guard, arg det is
         # a whole multiple of pi and gives the sign exactly
         g = ps.contour_for(model, npoints=npoints, halfwidth=8.0)
-        a = ps.build_hamiltonian(model, g)
+        a = real_form(model, g).toarray()
         real = [-5.0, -3.0, 0.5, 0.7, 2.0, 4.0, 10.0, 30.0]
         z = np.array(real + [5.0 - 2.0j, 11.0 + 0.5j, 40.0 - 9.0j,
                              2.0 + 30.0j, 200.0 - 1e-3j])
@@ -871,8 +891,9 @@ def dense_family(c, npoints, halfwidth):
     def spectrum(alpha):
         model = ps.PthoParams(alpha=alpha, c=c)
         g = ps.contour_for(model, npoints=npoints, halfwidth=halfwidth)
-        values = ps.eig_dense(ps.build_hamiltonian(model, g)).eigenvalues
-        cut = _spurious_cut(g, folded_band(real_form(model, g)))
+        a = real_form(model, g)
+        values = ps.eig_dense(a)
+        cut = _spurious_cut(g, folded_band(a))
         return values[values.real <= cut]
     return spectrum
 
@@ -890,9 +911,9 @@ class TestNumericFamily:
         calls = []
         original = ptspec.eigen.eig_dense
 
-        def eig_dense(m, **kwargs):
-            calls.append(m.shape[0])
-            return original(m, **kwargs)
+        def eig_dense(a, **kwargs):
+            calls.append(a.shape[0])
+            return original(a, **kwargs)
         monkeypatch.setattr(ptspec.eigen, "eig_dense", eig_dense)
         return calls
 

@@ -2,6 +2,7 @@
 bookkeeping, and discrete ODE residuals of the analytic eigenfunctions."""
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -164,9 +165,36 @@ class TestAngularWavefunction:
             1.9981453280266062 + 0.1177532642564974j, rel=1e-12)
 
 
+# Parameters (u, v) of one hypergeometric solution branch, with the
+# separation constant beta they encode: 2u = 1/2 - beta + s alpha and
+# 2v = 1/2 + beta + s alpha for branch sign s
+HypergeomIndices = namedtuple("HypergeomIndices", "u v beta")
+
+
+def hypergeom_indices(k, qparity, p):
+    """Indices of the terminating branch of level k: the termination
+    condition 2u = -2k gives beta = 2k + 1/2 + s alpha."""
+    beta = 2.0 * k + 0.5 + qparity * p.alpha
+    return HypergeomIndices(u=0.5 * (0.5 - beta + qparity * p.alpha),
+                            v=0.5 * (0.5 + beta + qparity * p.alpha),
+                            beta=beta)
+
+
+def hypergeom_solution(qparity, idx, p, phi):
+    """The hypergeometric solution branch at the shifted point z = phi -
+    i eps, an oracle built on ps.hyp2f1 for lam = 0:
+
+        (sin z)^(1/2 + s alpha) 2F1(u, v; 1 + s alpha; sin^2 z).
+    """
+    z = np.asarray(phi, dtype=float) - 1j * p.eps
+    return (ps.cpow(np.sin(z), 0.5 + qparity * p.alpha)
+            * ps.hyp2f1(idx.u, idx.v, 1.0 + qparity * p.alpha,
+                        np.sin(z) ** 2))
+
+
 class TestHypergeomSolution:
     def test_index_construction(self):
-        idx = ps.hypergeom_indices(1, +1, angular(0.0))
+        idx = hypergeom_indices(1, +1, angular(0.0))
         # 2u = 1/2 - beta + alpha and 2v = 1/2 + beta + alpha
         assert 2 * idx.u == pytest.approx(0.5 - idx.beta + 0.5)
         assert 2 * idx.v == pytest.approx(0.5 + idx.beta + 0.5)
@@ -175,16 +203,16 @@ class TestHypergeomSolution:
     def test_one_term_termination(self):
         # u = -1 stops the series after two terms
         p = angular(0.0, eps=1e-12)
-        idx = ps.HypergeomIndices(u=-1.0, v=2.0, beta=3.0)
-        val = ps.hypergeom_solution(+1, idx, p, 0.3)
+        idx = HypergeomIndices(u=-1.0, v=2.0, beta=3.0)
+        val = hypergeom_solution(+1, idx, p, 0.3)
         s2 = math.sin(0.3) ** 2
         expect = math.sin(0.3) * (1 - 2.0 * s2 / 1.5)
         assert val == pytest.approx(expect, rel=1e-9)
 
     def test_near_origin_prefactor_dominates(self):
         p = angular(0.0, eps=0.2)
-        idx = ps.hypergeom_indices(0, +1, p)
-        val = ps.hypergeom_solution(+1, idx, p, 0.0)
+        idx = hypergeom_indices(0, +1, p)
+        val = hypergeom_solution(+1, idx, p, 0.0)
         prefactor = ps.cpow(np.sin(-0.2j), 1.0)
         # series is 1 + O(sin^2) at the shifted origin
         assert val == pytest.approx(prefactor, rel=0.05)
@@ -192,8 +220,8 @@ class TestHypergeomSolution:
     def test_frozen_nonterminating_value(self):
         # beta = 0.3 does not terminate; series summed at 40 digits
         p = angular(0.0, eps=0.05)
-        idx = ps.HypergeomIndices(u=0.35, v=0.65, beta=0.3)
-        val = ps.hypergeom_solution(+1, idx, p, 0.7)
+        idx = HypergeomIndices(u=0.35, v=0.65, beta=0.3)
+        val = hypergeom_solution(+1, idx, p, 0.7)
         assert val == pytest.approx(
             0.6949445067485189 - 0.0489033795648030j, rel=1e-12)
 
@@ -203,10 +231,10 @@ class TestHypergeomSolution:
         # proportional to that eigenfunction
         p = angular(1.0, eps=0.1)
         k = 2
-        idx = ps.hypergeom_indices(k, +1, p)
+        idx = hypergeom_indices(k, +1, p)
         assert idx.beta ** 2 == ps.angular_energy(2 * k, +1, p)
         phis = [0.4, 0.9, 1.7]
-        hyp = np.array([ps.hypergeom_solution(+1, idx, p, f) for f in phis])
+        hyp = np.array([hypergeom_solution(+1, idx, p, f) for f in phis])
         geg = np.array([ps.angular_wavefunction(2 * k, +1, p, f)
                         for f in phis])
         ratios = hyp / geg
