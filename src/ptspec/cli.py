@@ -7,8 +7,18 @@ Configuration is a single JSON document, the only way to set a run's
 parameters.  It is parsed and range-checked in full against DEFAULTS
 before any numerics run.
 
-Every run is deterministic, byte for byte.  A command's table is written
-column by column in blocks of BLOCK_ROWS rows, never held as text whole.
+Every run is deterministic, byte for byte, at a fixed BLAS thread count.
+Threaded OpenBLAS rounds LAPACK's blocked reductions differently with the
+number of threads: at N=800, ``spectrum`` prints 140 of 800 rows
+differently with one thread than with two; its eigenvalues move by up
+to 3.1e-8 relative, and no label changes.
+
+A command's table is written in blocks of BLOCK_ROWS rows, never held as
+text whole.  A block is one %-format: a row template of per-column specs
+(``%.12g`` for a float, ``%d`` for an int, ``%s`` for a string), repeated
+for every row and applied once to the block's cells in row order.  A
+string cell is always a value, never template text.
+
 A CSV float cell is ``"%.12g" % x`` (``nan``, ``inf``, ``-inf`` when not
 finite); an int is its decimal digits and a string is written as is.
 A JSON float is the shortest repr of the float that CSV cell reads as,
@@ -27,6 +37,12 @@ is spelled ``repr(float(cell))``: an integer-like cell needs ``.0``, repr
 writes 1e12 to 1e16 positionally, and a three-digit negative exponent may
 be a subnormal, which holds fewer than 15 digits (the cell
 ``4.94065645841e-324`` reads as ``5e-324``).
+
+So only a cell of a float x that is not finite, has |x| >= 1e11 (a
+12-digit integer) or |x| < 1e-98 (a three-digit exponent), or lies within
+1e-10 |x| of an integer (a cell with no ``.``) can need re-spelling.
+numpy finds these cells in each block; each one gets the rule above, and
+its token takes a ``%s`` in its row's template.
 
 Exit codes: 0 success, 2 input rejected before any numerics (bad config,
 unsupported model regime, a grid above the command's cap, an --out path
@@ -70,6 +86,9 @@ BLOCK_ROWS = 4096
 
 # JSON spellings of the non-finite floats, as json.dumps writes them
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# the %-format of an ndarray column's cells, by dtype kind
+_CELL_SPECS = {"f": "%.12g", "i": "%d", "u": "%d"}
 
 
 class ConfigError(ValueError):
@@ -226,31 +245,59 @@ def load_config(path):
     return RunConfig.from_dict(doc)
 
 
-def _tokens(column, outfmt):
-    """The output cells of one column: an int or float ndarray, or a list
-    of strings."""
-    if not isinstance(column, np.ndarray):
-        return list(column if outfmt == "csv" else map(json.dumps, column))
-    values = column.tolist()
-    if column.dtype.kind in "iu":
-        return list(map(str, values))
-    cells = ["%.12g" % x for x in values]
-    if outfmt == "csv":
-        return cells
-    # a positional cell, or one with a two-digit negative exponent, is
-    # already the repr of the float it reads as (see the module docstring)
-    return [c if "." in c and "e" not in c or c[-4:-2] == "e-"
-            else _JSON_NONFINITE.get(c) or repr(float(c)) for c in cells]
+def _json_float(cell):
+    """The JSON token of the float whose CSV cell is `cell`.  A positional
+    cell with a ``.``, or one with a two-digit negative exponent, is
+    already the repr of the float it reads as (see the module docstring)."""
+    if "." in cell and "e" not in cell or cell[-4:-2] == "e-":
+        return cell
+    return _JSON_NONFINITE.get(cell) or repr(float(cell))
+
+
+def _respell_candidates(x):
+    """Indices of the float cells whose JSON token may differ from their
+    CSV cell: x outside [1e-98, 1e11), or within 1e-10 |x| of an integer.
+    Every other cell is positional with a ``.`` or has a two-digit
+    negative exponent, so _json_float keeps it."""
+    ax = np.abs(x)
+    with np.errstate(invalid="ignore"):
+        near_int = np.abs(x - np.rint(x)) <= 1e-10 * ax
+    # NaN fails both bounds and +-inf the upper one, so they are in too
+    return np.flatnonzero(~((ax >= 1e-98) & (ax < 1e11)) | near_int)
 
 
 def _write_rows(fh, table, outfmt, cell_sep, row_sep):
-    """Write the rows of `table`, given as columns, in blocks of BLOCK_ROWS
-    rows; cells are joined by `cell_sep` and rows by `row_sep`."""
-    for start in range(0, len(table[0]), BLOCK_ROWS):
-        block = [_tokens(column[start:start + BLOCK_ROWS], outfmt)
-                 for column in table]
-        fh.write((row_sep if start else "")
-                 + row_sep.join(map(cell_sep.join, zip(*block))))
+    """Write the rows of `table`, given as columns (an int or float ndarray,
+    or a list of strings), in blocks of BLOCK_ROWS rows; cells are joined by
+    `cell_sep` and rows by `row_sep`.  A block is one %-format: the row
+    template, repeated for every row, applied to the block's cells in row
+    order.  A JSON float cell that may need re-spelling enters as its
+    _json_float token, under a ``%s`` in its row's template."""
+    ncols, nrows = len(table), len(table[0])
+    specs = [_CELL_SPECS[column.dtype.kind]
+             if isinstance(column, np.ndarray) else "%s" for column in table]
+    template = cell_sep.join(specs)
+    for start in range(0, nrows, BLOCK_ROWS):
+        block = [column[start:start + BLOCK_ROWS] for column in table]
+        rows = [template] * len(block[0])
+        cells = [None] * (len(rows) * ncols)
+        respelled = {}
+        for j, column in enumerate(block):
+            if not isinstance(column, np.ndarray):
+                cells[j::ncols] = (column if outfmt == "csv"
+                                   else map(json.dumps, column))
+                continue
+            cells[j::ncols] = column.tolist()
+            if outfmt == "json" and column.dtype.kind == "f":
+                for i in _respell_candidates(column).tolist():
+                    k = i * ncols + j
+                    cells[k] = _json_float("%.12g" % cells[k])
+                    respelled.setdefault(i, list(specs))[j] = "%s"
+        for i, row_specs in respelled.items():
+            rows[i] = cell_sep.join(row_specs)
+        if start:
+            fh.write(row_sep)
+        fh.write(row_sep.join(rows) % tuple(cells))
 
 
 def _render(payload, columns, table, comments, out, outfmt):

@@ -17,8 +17,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import ptspec.cli
 from ptspec.cli import (BLOCK_ROWS, DEFAULTS, EXIT_CONFIG, EXIT_OK,
                         EXIT_SOLVER, EXIT_VERIFY_FAIL, MAX_ROWS, MODEL_KEYS,
-                        ConfigError, RunConfig, _analytic_levels, _render,
-                        _tokens, build_parser, fmt, fnum, main)
+                        ConfigError, RunConfig, _analytic_levels,
+                        _json_float, _render, _write_rows, build_parser, fmt,
+                        fnum, main)
 from ptspec.exceptions import DomainError
 from ptspec.models import (AngularParams, PthoParams, ptho_levels,
                            termination_levels)
@@ -600,17 +601,20 @@ PAYLOAD = {"format_version": 1, "command": "spectrum",
 
 # floats where the two renderings can go wrong: non-finite values, signed
 # zeros, subnormals, integers where %g and repr switch to exponent notation
-# at different magnitudes, and values near %g's 1e-5 switch
+# at different magnitudes, values near %g's 1e-5 switch, and values at the
+# bounds of the cells the JSON renderer re-spells
 FLOATS = st.one_of(
     st.floats(),
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
                      -2.5e-320, 2.2250738585072014e-308, 1e-5,
                      9.99999999999e-6, 1e11, 1e12, 1e15, 1e16, 1e17,
-                     123456789012.5]),
+                     123456789012.5, 0.99999999999995, 123456.00000000001,
+                     99999999999.5, -1e11, 1e-98, 9.999999999995e-99]),
     st.integers(10 ** 11, 10 ** 17).map(float),
     st.floats(9e-6, 1.1e-5), st.floats(-1.1e-5, -9e-6))
-# strings that need JSON escapes: quotes, backslashes, controls, non-ASCII
-TEXT = st.text(st.sampled_from('ab"\\\n\t\x00\x1f\u00e9\u2028\U0001f600'),
+# strings that need JSON escapes (quotes, backslashes, controls,
+# non-ASCII), and strings with %, which a %-format template must not read
+TEXT = st.text(st.sampled_from('ab"\\\n\t\x00\x1f\u00e9\u2028\U0001f600%s'),
                max_size=6)
 COLUMN_KINDS = {
     "int": lambda n: st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
@@ -710,6 +714,28 @@ class TestRendering:
         assert rendered(PAYLOAD, ["i", "x", "c"], table, ["# done"], outfmt,
                         tmp_path) == (expected, expected)
 
+    @pytest.mark.parametrize("block", [1, 2, 3, BLOCK_ROWS])
+    @pytest.mark.parametrize("outfmt", ["csv", "json"])
+    def test_percent_strings_and_respelled_cells(self, tmp_path, block,
+                                                 outfmt):
+        # string cells that read as format directives; a float column
+        # whose every cell the JSON renderer re-spells (zeros, integers,
+        # values outside [1e-98, 1e11)); rows with one, two and three
+        # re-spelled cells
+        table = [
+            ["%s", "%%", "100%", "%d%", "%(x)s", "%.12g"],
+            np.array([0.0, -0.0, 3.0, -7.0, 1e12, 5e-324]),
+            np.array([1.0, 2.5, -0.0, 1e20, 0.125, math.nan]),
+            np.array([-math.inf, 0.5, 4.0, 1e-5, 2.0, 0.0]),
+            np.arange(6) - 3]
+        columns = ["s", "all", "some", "more", "i"]
+        expected = text_rendering(copy.deepcopy(PAYLOAD), columns, table,
+                                  ["# 100%"], outfmt)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ptspec.cli, "BLOCK_ROWS", block)
+            assert rendered(PAYLOAD, columns, table, ["# 100%"], outfmt,
+                            tmp_path) == (expected, expected)
+
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(block=st.integers(1, 4), data=st.data(),
@@ -737,6 +763,13 @@ def json_spelling(x):
     return repr(float("%.12g" % x))
 
 
+def json_tokens(values):
+    """The JSON tokens the renderer writes for a float column."""
+    buffer = io.StringIO()
+    _write_rows(buffer, [np.array(values, dtype=float)], "json", ",", ",")
+    return buffer.getvalue().split(",")
+
+
 # (value, JSON token) where a spelling shortcut can go wrong: subnormals,
 # whose 12-digit cell is not their shortest repr; three- and two-digit
 # negative exponents; %g's 1e-5 switch; integer-like cells, which need
@@ -750,19 +783,26 @@ EDGE_TOKENS = [
     (999999999999.5, "1000000000000.0"), (1e12, "1000000000000.0"),
     (1.5e15, "1500000000000000.0"), (9.9999999999995e15, "1e+16"),
     (1e16, "1e+16"), (1e300, "1e+300"), (math.nan, "NaN"),
-    (math.inf, "Infinity"), (-math.inf, "-Infinity")]
+    (math.inf, "Infinity"), (-math.inf, "-Infinity"),
+    # the bounds of the re-spelled cells: within 1e-10 |x| of an integer,
+    # |x| >= 1e11 and |x| < 1e-98
+    (0.99999999999995, "1.0"), (123456.00000000001, "123456.0"),
+    (99999999999.5, "99999999999.5"), (-1e11, "-100000000000.0"),
+    (1e-98, "1e-98"), (9.999999999995e-99, "9.99999999999e-99")]
 
 
 class TestJsonFloatTokens:
     @settings(max_examples=2000, deadline=None)
     @given(x=st.floats())
     def test_token_is_repr_of_the_csv_cell(self, x):
-        assert _tokens(np.array([x]), "json") == [json_spelling(x)]
+        assert _json_float("%.12g" % x) == json_spelling(x)
+        assert json_tokens([x]) == [json_spelling(x)]
 
     @pytest.mark.parametrize("x,token", EDGE_TOKENS)
     def test_edge_values(self, x, token):
         assert json_spelling(x) == token
-        assert _tokens(np.array([x]), "json") == [token]
+        assert _json_float("%.12g" % x) == token
+        assert json_tokens([x]) == [token]
 
     def test_wide_wavefunction_has_subnormal_and_zero_cells(self, tmp_path,
                                                             capsys):
