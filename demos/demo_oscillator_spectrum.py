@@ -32,8 +32,7 @@ def main():
 
     result = ps.solve_spectrum(model, contour)
     numeric = np.sort(result.real_values())[:args.count]
-    analytic = sorted(lv.energy for lv in
-                      ps.ptho_levels(model, args.count))[:args.count]
+    analytic = [lv.energy for lv in ps.ptho_levels(model, args.count)]
 
     print(f"\n{'numeric':>14} {'closed form':>12} {'abs err':>10}")
     for num, ana in zip(numeric, analytic):

@@ -13,9 +13,8 @@ from .eigen import (Crossing, ScanResult, classify_spectrum,
                     ptho_analytic_family, ptho_numeric_family,
                     scan_parameter, solve_lowest, solve_spectrum)
 from .models import (AnalyticLevel, AngularParams, PthoParams,
-                     angular_energy, angular_is_degenerate,
-                     angular_wavefunction, ptho_energy, ptho_levels,
-                     ptho_wavefunction, termination_levels)
+                     angular_energy, angular_wavefunction, ptho_energy,
+                     ptho_levels, ptho_wavefunction, termination_levels)
 from .specfun import cpow, gegenbauer, hyp2f1, laguerre
 
 __version__ = "0.1.0"

@@ -66,9 +66,8 @@ from .eigen import (DEFAULT_CROSSING_TOL, DEFAULT_REALITY_TOL, match_spectra,
                     ptho_numeric_family, scan_parameter, solve_lowest,
                     solve_spectrum)
 from .exceptions import NonConvergence, UnsupportedModel
-from .models import (AngularParams, AnalyticLevel, PthoParams,
-                     angular_energy, angular_wavefunction, ptho_levels,
-                     ptho_wavefunction)
+from .models import (AngularParams, PthoParams, angular_wavefunction,
+                     ptho_levels, ptho_wavefunction, termination_levels)
 
 FORMAT_VERSION = 1
 
@@ -324,24 +323,6 @@ def _render(payload, columns, table, comments, out, outfmt):
         fh.write(doc + "\n")
 
 
-def _analytic_levels(model, count):
-    """Closed-form levels that hold the lowest `count` energies, in
-    O(count) work whatever alpha or ell.  A ladder holds at most `count`
-    of them, its own lowest.  The oscillator's ladders 4n + 2 +/- 2 alpha
-    and the angular plus ladder (k + ell + 1)^2 rise with the index, so
-    n, k < count; the angular minus ladder (k - ell)^2 is lowest at
-    k = ell, so |k - ell| <= count.  Angular levels carry their energy
-    only, which is all match_spectra reads."""
-    if isinstance(model, PthoParams):
-        return ptho_levels(model, count - 1)
-    ell = int(model.ell)
-    ladders = [(+1, range(count)),
-               (-1, range(max(0, ell - count), ell + count + 1))]
-    return [AnalyticLevel(index=k, qparity=s,
-                          energy=angular_energy(k, s, model))
-            for s, ks in ladders for k in ks]
-
-
 # Each command returns (column names, table, comments, extra payload, exit
 # code).  The table is one column per name: an int or float ndarray, or a
 # list of strings.
@@ -359,7 +340,8 @@ def cmd_verify(cfg, model, g):
     tol = cfg.tolerances
     count = cfg.verify["count"]
     # the closed form first: a model without one exits before the solve
-    levels = _analytic_levels(model, count)
+    levels = (ptho_levels if isinstance(model, PthoParams)
+              else termination_levels)(model, count)
     result = solve_lowest(model, g, count, reality_tol=tol["reality"])
     columns = match_spectra(result, levels, count)
     n, rel_err = len(columns[0]), columns[-1]

@@ -49,7 +49,8 @@ import numpy as np
 import scipy.sparse
 
 from .exceptions import SingularPoint
-from .models import AngularParams, PthoParams, require_finite
+from .models import (AngularParams, PthoParams, require_count,
+                     require_finite)
 
 MIN_POINTS = 16
 MAX_POINTS = 4096    # largest grid real_form assembles (eig_dense: 8 N^2 bytes)
@@ -69,8 +70,7 @@ class Contour:
         require_finite(self)
         if self.kind not in ("straight", "periodic"):
             raise ValueError(f"unknown contour kind {self.kind!r}")
-        if self.npoints < MIN_POINTS:
-            raise ValueError(f"npoints must be >= {MIN_POINTS}")
+        require_count("npoints", self.npoints, MIN_POINTS)
         if self.kind == "periodic" and self.halfwidth != np.pi:
             raise ValueError("periodic contours have halfwidth pi")
         if self.halfwidth <= 0:

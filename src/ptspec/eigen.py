@@ -32,7 +32,7 @@ import scipy.sparse.linalg
 from .contour import (contour_for, folded_band, folded_order, real_blocks,
                       real_form)
 from .exceptions import InsufficientLevels, NonConvergence
-from .models import PthoParams
+from .models import PthoParams, ptho_levels, require_count
 
 REAL = "real"
 PAIR = "pair"
@@ -252,6 +252,7 @@ def solve_lowest(model, contour, count, reality_tol=DEFAULT_REALITY_TOL):
     values strictly inside the disc, or every value when the loop's
     dense solve answers.
     """
+    require_count("count", count, 1)
     values, cut = _certified_window(
         model, contour, 2 * count + 2,
         lambda band, sigma, cut, values: _certify_window(
@@ -465,6 +466,7 @@ def match_spectra(numeric: SpectrumResult, analytic_levels, count):
     abs_err, rel_err).  abs_err = |numeric - analytic| and rel_err =
     abs_err / max(1, |analytic|), so zero-energy levels stay meaningful.
     Fewer than `count` closed-form levels raises InsufficientLevels."""
+    require_count("count", count, 1)
     energies = np.sort([lv.energy for lv in analytic_levels])
     if len(energies) < count:
         raise InsufficientLevels(
@@ -511,8 +513,10 @@ def scan_parameter(spectrum_fn, lo, hi, steps, levels,
     ends, next to a failed point, or where the gap is flat, the sampled
     minimum stands as it is.
     """
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
+    require_count("steps", steps, 2)
+    require_count("levels", levels, 1)
+    if not lo < hi:
+        raise ValueError(f"lo must be below hi, got lo={lo}, hi={hi}")
     params = np.linspace(lo, hi, steps)
     step = params[1] - params[0]
     energies, failures = [], []
@@ -570,12 +574,13 @@ def crossing_params(scan: ScanResult):
     return out
 
 
-def ptho_analytic_family(nmax=8):
-    """Closed-form oscillator family for scans: alpha -> exact energies."""
+def ptho_analytic_family():
+    """Closed-form oscillator family for scans: alpha -> the lowest 18
+    exact energies (the shift c leaves them unchanged)."""
     def spectrum(alpha):
-        energies = [4.0 * n + 2.0 + s * 2.0 * alpha
-                    for n in range(nmax + 1) for s in (-1, +1)]
-        return np.sort(np.array(energies, dtype=complex))
+        return np.array([lv.energy for lv in
+                         ptho_levels(PthoParams(alpha=alpha, c=1.0), 18)],
+                        dtype=complex)
     return spectrum
 
 
@@ -595,6 +600,8 @@ def ptho_numeric_family(c=1.0, npoints=600, halfwidth=10.0, levels=6):
     colliding levels form a conjugate pair, so keeping only real levels
     would drop precisely the points the scan is after.
     """
+    require_count("levels", levels, 1)
+
     def spectrum(alpha):
         model = PthoParams(alpha=alpha, c=c)
         g = contour_for(model, npoints=npoints, halfwidth=halfwidth)

@@ -13,10 +13,14 @@ Two families are covered:
 The +/- label is the quasi-parity of the branch.  Wavefunctions are
 returned unnormalized (overall constant fixed to 1): every consumer in
 this package compares normalization-insensitive quantities only.
+
+ptho_levels and termination_levels give a model's lowest `count` levels,
+sorted by energy, in O(count) work for any alpha or ell.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,6 +35,14 @@ def require_finite(params):
         value = getattr(params, f.name)
         if not isinstance(value, str) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
+
+
+def require_count(name, value, least):
+    """Reject a size that is not an integer >= least; bool is not a size."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, "
+                         f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -76,15 +88,10 @@ class AngularParams:
 
 @dataclass(frozen=True)
 class AnalyticLevel:
-    """One closed-form level: polynomial index, quasi-parity sign, energy,
-    and an eigenfunction evaluator (callable on the real contour
-    parameter).  ``degenerate`` marks levels whose naive polynomial factor
-    vanishes identically and was replaced by its renormalized limit."""
+    """One closed-form level: polynomial index, quasi-parity sign, energy."""
     index: int
     qparity: int
     energy: float
-    eigenfunction: object = field(compare=False, default=None)
-    degenerate: bool = False
 
 
 def _check_sign(qparity):
@@ -120,17 +127,22 @@ def ptho_wavefunction(n, qparity, p: PthoParams, x):
             * laguerre(n, qparity * p.alpha, z * z))
 
 
-def ptho_levels(p: PthoParams, nmax):
-    """All analytic levels with index <= nmax on both quasi-parity
-    branches, sorted by energy."""
-    levels = []
-    for n in range(nmax + 1):
-        for s in (-1, +1):
-            levels.append(AnalyticLevel(
-                index=n, qparity=s, energy=ptho_energy(n, s, p),
-                eigenfunction=(lambda x, n=n, s=s: ptho_wavefunction(n, s, p, x))))
+def _lowest(p, energy, ladders, count):
+    """The lowest `count` levels of the (qparity, index range) ladders,
+    sorted by energy."""
+    levels = [AnalyticLevel(index=n, qparity=s, energy=energy(n, s, p))
+              for s, indices in ladders for n in indices]
     levels.sort(key=lambda lv: lv.energy)
-    return levels
+    return levels[:count]
+
+
+def ptho_levels(p: PthoParams, count):
+    """The lowest `count` oscillator levels, sorted by energy.  Both
+    ladders 4n + 2 +/- 2 alpha rise with n, so n < count: O(count) work
+    for any alpha."""
+    require_count("count", count, 0)
+    return _lowest(p, ptho_energy, [(-1, range(count)), (+1, range(count))],
+                   count)
 
 
 def angular_energy(k, qparity, p: AngularParams):
@@ -150,7 +162,7 @@ def angular_wavefunction(k, qparity, p: AngularParams, phi):
     On the degenerate set of the Gegenbauer family (weight parameter a
     non-positive integer and k large enough, where the naive polynomial
     vanishes identically) the renormalized limiting polynomial is used
-    instead; ``angular_is_degenerate`` reports when that happened.
+    instead (specfun.gegenbauer_is_degenerate tells when).
     """
     _check_sign(qparity)
     _check_angular(p)
@@ -163,23 +175,15 @@ def angular_wavefunction(k, qparity, p: AngularParams, phi):
     return cpow(np.sin(z), expo) * poly
 
 
-def angular_is_degenerate(k, qparity, p: AngularParams):
-    """True when the (k, qparity) level's polynomial factor required the
-    renormalized limit."""
-    return gegenbauer_is_degenerate(k, 0.5 + qparity * p.alpha)
-
-
-def termination_levels(p: AngularParams, kmax):
-    """All angular levels with index <= kmax on both quasi-parity branches,
-    sorted by energy.  Degenerate-family levels carry degenerate=True."""
+def termination_levels(p: AngularParams, count):
+    """The lowest `count` angular levels, sorted by energy.  The plus
+    ladder (k + ell + 1)^2 rises with k, so k < count; the minus ladder
+    (k - ell)^2 is lowest at k = ell, so |k - ell| <= count.  O(count)
+    work for any ell."""
     _check_angular(p)
-    levels = []
-    for k in range(kmax + 1):
-        for s in (-1, +1):
-            levels.append(AnalyticLevel(
-                index=k, qparity=s, energy=angular_energy(k, s, p),
-                eigenfunction=(lambda phi, k=k, s=s:
-                               angular_wavefunction(k, s, p, phi)),
-                degenerate=angular_is_degenerate(k, s, p)))
-    levels.sort(key=lambda lv: lv.energy)
-    return levels
+    require_count("count", count, 0)
+    ell = int(p.ell)
+    return _lowest(p, angular_energy,
+                   [(+1, range(count)),
+                    (-1, range(max(0, ell - count), ell + count + 1))],
+                   count)

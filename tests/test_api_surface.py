@@ -1,6 +1,7 @@
 """Every public name the demos and the README use exists in ptspec.
 
-The name scan is textual; the crossing-scan demo is also run, small."""
+The name scan is textual; the crossing-scan demo is also run, small, and
+the angular-spectrum demo at its defaults."""
 
 import os
 import re
@@ -34,15 +35,31 @@ def test_used_names_resolve(source):
     assert not missing, f"{source} uses names ptspec lacks: {missing}"
 
 
-def test_crossing_scan_demo_runs():
+def run_demo(name, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "demo_crossing_scan.py"),
-         "--steps", "9", "--npoints", "200"],
+        [sys.executable, str(ROOT / "demos" / name), *args],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_crossing_scan_demo_runs():
+    proc = run_demo("demo_crossing_scan.py", "--steps", "9",
+                    "--npoints", "200")
     found = [float(x) for x in
              re.findall(r"crossing near alpha=([-+.\d]+)", proc.stdout)]
     assert found, proc.stdout
     assert all(min(abs(x - 1), abs(x - 2)) <= 0.02 for x in found), found
     assert {round(x) for x in found} == {1, 2}, found
+
+
+def test_angular_spectrum_demo_matches_closed_form():
+    # each row is "numeric  closed-form  abs-err"; a dropped doublet
+    # member would set every later row beside the next square
+    proc = run_demo("demo_angular_spectrum.py")
+    rows = re.findall(r"^ *(\S+) +(\S+) +(\d\.\d\de[-+]\d\d)$",
+                      proc.stdout, re.M)
+    assert [float(ana) for _, ana, _ in rows] == [0, 1, 1, 4, 4, 9, 9]
+    assert all(float(err) <= 5e-3 for _, _, err in rows), proc.stdout
+    assert "splitting of the exact degeneracies" in proc.stdout

@@ -17,12 +17,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import ptspec.cli
 from ptspec.cli import (BLOCK_ROWS, DEFAULTS, EXIT_CONFIG, EXIT_OK,
                         EXIT_SOLVER, EXIT_VERIFY_FAIL, MAX_ROWS, MODEL_KEYS,
-                        ConfigError, RunConfig, _analytic_levels,
-                        _json_float, _render, _write_rows, build_parser, fmt,
-                        fnum, main)
+                        ConfigError, RunConfig, _json_float, _render,
+                        _write_rows, build_parser, fmt, fnum, main)
 from ptspec.exceptions import DomainError
-from ptspec.models import (AngularParams, PthoParams, ptho_levels,
-                           termination_levels)
+from ptspec.models import (AngularParams, PthoParams, angular_energy,
+                           ptho_energy, ptho_levels, termination_levels)
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -515,6 +514,12 @@ class TestVerifyCommand:
         expected = [f"# insufficient real levels ({rows} < {count})"] * short
         assert got == code and comments == expected + [verdict]
 
+    @staticmethod
+    def verify_levels(model, count):
+        """The closed-form levels verify matches against."""
+        return (ptho_levels if isinstance(model, PthoParams)
+                else termination_levels)(model, count)
+
     @pytest.mark.parametrize("model", [
         PthoParams(0.35, 1.0), PthoParams(2.55, 1.0), PthoParams(7.5, 1.0),
         AngularParams(ell=0.0, eps=0.1), AngularParams(ell=1.0, eps=0.1),
@@ -522,13 +527,14 @@ class TestVerifyCommand:
         AngularParams(ell=12.0, eps=0.1)])
     @pytest.mark.parametrize("count", [1, 3, 8])
     def test_analytic_levels_hold_the_lowest(self, model, count):
-        # the same lowest energies as both whole ladders, deep enough
+        # the lowest energies of both whole ladders, taken deep enough
         depth = count + int(model.alpha) + 2
-        full = (ptho_levels(model, depth) if isinstance(model, PthoParams)
-                else termination_levels(model, depth))
-        lowest = np.sort([lv.energy for lv in full])[:count]
-        got = np.sort([lv.energy for lv in _analytic_levels(model, count)])
-        assert np.array_equal(got[:count], lowest)
+        energy = (ptho_energy if isinstance(model, PthoParams)
+                  else angular_energy)
+        lowest = np.sort([energy(n, s, model) for n in range(depth + 1)
+                          for s in (-1, +1)])[:count]
+        got = [lv.energy for lv in self.verify_levels(model, count)]
+        assert got == lowest.tolist()
 
     @pytest.mark.parametrize("model,lowest", [
         (PthoParams(1e9, 1.0), [4.0 * n + 2.0 - 2e9 for n in range(8)]),
@@ -537,11 +543,9 @@ class TestVerifyCommand:
                                                            lowest):
         # enumerating every index up to alpha would take hours at 1e9
         start = time.perf_counter()
-        levels = _analytic_levels(model, 8)
+        levels = self.verify_levels(model, 8)
         assert time.perf_counter() - start < 1.0
-        assert len(levels) <= 4 * 8
-        got = np.sort([lv.energy for lv in levels])[:8]
-        assert np.array_equal(got, lowest)
+        assert [lv.energy for lv in levels] == lowest
 
 
 class TestVerifyWindow:

@@ -98,6 +98,16 @@ class TestContourGeometry:
         with pytest.raises(ValueError, match=field):
             ps.Contour(**args)
 
+    @pytest.mark.parametrize("bad", [20.5, 32.0, True, "32"])
+    def test_non_integral_npoints_rejected(self, bad):
+        # 20.5 and 32.0 used to pass and fail later in grid_points
+        with pytest.raises(ValueError, match="npoints"):
+            ps.Contour("straight", 10.0, bad)
+
+    def test_numpy_integer_npoints_accepted(self):
+        g = ps.Contour("straight", 10.0, np.int64(32))
+        assert len(ps.grid_points(g)) == 32
+
     def test_contour_for_dispatch(self):
         assert ps.contour_for(ps.PthoParams(1.5, 1.0),
                               npoints=64).kind == "straight"

@@ -11,7 +11,6 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 import ptspec as ps
-from ptspec.cli import _analytic_levels
 import ptspec.eigen
 from ptspec.contour import MAX_POINTS, folded_band, real_blocks, real_form
 from ptspec.eigen import (PAIR, REAL, SPURIOUS, _band_vectors,
@@ -143,8 +142,7 @@ class TestPtDefect:
 
 class TestMatchSpectra:
     def levels(self, energies):
-        return [ps.AnalyticLevel(index=i, qparity=+1, energy=e,
-                                 eigenfunction=None, degenerate=False)
+        return [ps.AnalyticLevel(index=i, qparity=+1, energy=e)
                 for i, e in enumerate(energies)]
 
     def spectrum(self, values):
@@ -191,6 +189,11 @@ class TestMatchSpectra:
         with pytest.raises(InsufficientLevels):
             ps.match_spectra(self.spectrum([1.0, 3.0]),
                              self.levels([1.0]), 2)
+        # count = -2 used to slice off the top two values; 0 asks nothing
+        for count in (0, -2, 1.5):
+            with pytest.raises(ValueError, match="count"):
+                ps.match_spectra(self.spectrum([1.0, 3.0, 5.0]),
+                                 self.levels([1.0, 3.0, 5.0]), count)
 
 
 def split_at_crossings(alpha):
@@ -258,6 +261,22 @@ class TestScan:
     def test_too_few_steps(self):
         with pytest.raises(ValueError):
             ps.scan_parameter(ps.ptho_analytic_family(), 0.5, 2.5, 1, 6)
+        # a float size used to raise TypeError, and levels = -1 to keep
+        # all but the last value
+        for steps, levels in ((9.5, 6), (9, 2.5), (9, 0), (9, -1)):
+            with pytest.raises(ValueError, match="steps|levels"):
+                ps.scan_parameter(ps.ptho_analytic_family(), 0.5, 2.5,
+                                  steps, levels)
+
+    @pytest.mark.parametrize("lo,hi", [(2.5, 0.5), (1.0, 1.0),
+                                       (math.nan, 2.5), (0.5, math.nan)])
+    def test_range_must_ascend(self, lo, hi):
+        # a descending sweep has a negative step, which no V fit and no
+        # crossing merge expect; no family is evaluated
+        calls = []
+        with pytest.raises(ValueError, match="lo must be below hi"):
+            ps.scan_parameter(calls.append, lo, hi, 41, 6)
+        assert calls == []
 
     def test_family_failures_recorded(self):
         def family(p):
@@ -648,7 +667,8 @@ class TestSolveLowest:
         assert simple.any()
         assert np.all(np.abs(lw - ld)[simple] <= 1e-8 * scale[simple])
         assert np.all(np.abs(lw - ld) <= 1e-4 * scale)
-        levels = _analytic_levels(model, count)
+        levels = (ps.ptho_levels if isinstance(model, ps.PthoParams)
+                  else ps.termination_levels)(model, count)
         rel_win = ps.match_spectra(win, levels, count)[-1]
         rel_dense = ps.match_spectra(dense, levels, count)[-1]
         for tol in (1e-3, 1e-2):
@@ -667,7 +687,7 @@ class TestSolveLowest:
         assert len(win.eigenvalues) < 300
         assert win.real_values()[:8] == pytest.approx(
             dense.real_values()[:8], rel=1e-5)
-        levels = _analytic_levels(model, 8)
+        levels = ps.ptho_levels(model, 8)
         assert (np.all(ps.match_spectra(win, levels, 8)[-1] <= 1e-3)
                 == np.all(ps.match_spectra(dense, levels, 8)[-1] <= 1e-3))
 
@@ -759,6 +779,16 @@ class TestSolveLowest:
         dense = ps.solve_spectrum(model, g)
         assert len(win.real_values()) == len(dense.real_values()) < count
         assert np.array_equal(win.eigenvalues, dense.eigenvalues)
+
+    @pytest.mark.parametrize("count", [0, -1, 2.5, 8.0, True, "8"])
+    def test_count_must_be_a_positive_integer(self, monkeypatch, count):
+        # rejected before any solve: 0 used to raise IndexError, and 2.5
+        # reached ARPACK as a float k
+        model, g = self.setup_ptho(64)
+        calls = self.patch_eigs(monkeypatch, lambda values, k: values)
+        with pytest.raises(ValueError, match="count"):
+            ps.solve_lowest(model, g, count)
+        assert calls == []
 
 
 def scan_window(model, g, levels):
@@ -916,6 +946,13 @@ class TestNumericFamily:
             return original(a, **kwargs)
         monkeypatch.setattr(ptspec.eigen, "eig_dense", eig_dense)
         return calls
+
+    @pytest.mark.parametrize("levels", [0, -1, 2.5])
+    def test_levels_must_be_a_positive_integer(self, levels):
+        # rejected when the family is made: 0 and -1 used to return 41
+        # values and 1, and 2.5 reached ARPACK as a float k
+        with pytest.raises(ValueError, match="levels"):
+            ps.ptho_numeric_family(npoints=100, levels=levels)
 
     @pytest.mark.parametrize("c,npoints,halfwidth,levels,alphas", [
         (0.7, 200, 8.0, 4, np.linspace(0.55, 2.45, 9)),

@@ -9,6 +9,7 @@ import pytest
 
 import ptspec as ps
 from ptspec.exceptions import UnsupportedModel
+from ptspec.specfun import gegenbauer_is_degenerate
 
 from conftest import ode_residual
 
@@ -62,10 +63,15 @@ class TestPthoEnergies:
         assert ps.ptho_energy(1, +1, p) == ps.ptho_energy(3, -1, p)
 
     def test_levels_sorted(self):
-        levels = ps.ptho_levels(ps.PthoParams(1.5, 1.0), 3)
+        # the lowest `count` of both ladders, exactly `count` of them
+        p = ps.PthoParams(1.5, 1.0)
+        levels = ps.ptho_levels(p, 6)
         energies = [lv.energy for lv in levels]
-        assert energies == sorted(energies)
-        assert energies[:4] == [-1.0, 3.0, 5.0, 7.0]
+        assert energies == [-1.0, 3.0, 5.0, 7.0, 9.0, 11.0]
+        assert [(lv.index, lv.qparity) for lv in levels[:3]] == [
+            (0, -1), (1, -1), (0, +1)]
+        assert [lv.energy for lv in ps.ptho_levels(p, 1)] == [-1.0]
+        assert ps.ptho_levels(p, 0) == []
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -130,18 +136,32 @@ class TestAngularEnergies:
             ps.angular_wavefunction(0, +1, p, 0.5)
 
     def test_termination_level_multisets(self):
-        lv0 = ps.termination_levels(angular(0.0), 2)
-        plus = sorted(l.energy for l in lv0 if l.qparity == +1)
-        minus = sorted(l.energy for l in lv0 if l.qparity == -1)
-        assert plus == [1, 4, 9] and minus == [0, 1, 4]
+        lv0 = ps.termination_levels(angular(0.0), 7)
+        assert [l.energy for l in lv0] == [0, 1, 1, 4, 4, 9, 9]
+        assert sorted(l.energy for l in lv0 if l.qparity == +1) == [1, 4, 9]
+        assert sorted(l.energy for l in lv0 if l.qparity == -1) == [
+            0, 1, 4, 9]
 
-        lv1 = ps.termination_levels(angular(1.0), 1)
-        assert sorted(l.energy for l in lv1 if l.qparity == +1) == [4, 9]
-        assert sorted(l.energy for l in lv1 if l.qparity == -1) == [0, 1]
+        lv1 = ps.termination_levels(angular(1.0), 5)
+        assert sorted(l.energy for l in lv1 if l.qparity == +1) == [4]
+        assert sorted(l.energy for l in lv1 if l.qparity == -1) == [
+            0, 1, 1, 4]
 
-        lv2 = ps.termination_levels(angular(2.0), 0)
-        assert [l.energy for l in lv2 if l.qparity == +1] == [9]
-        assert [l.energy for l in lv2 if l.qparity == -1] == [4]
+        # the minus ladder (k - ell)^2 falls to zero at k = ell first
+        lv2 = ps.termination_levels(angular(2.0), 5)
+        assert [l.energy for l in lv2 if l.qparity == +1] == []
+        assert sorted((l.energy, l.index) for l in lv2) == [
+            (0, 2), (1, 1), (1, 3), (4, 0), (4, 4)]
+        assert ps.termination_levels(angular(2.0), 0) == []
+
+
+@pytest.mark.parametrize("levels,model", [
+    (ps.ptho_levels, ps.PthoParams(1.5, 1.0)),
+    (ps.termination_levels, angular(1.0))])
+@pytest.mark.parametrize("count", [-1, 2.5, 3.0, True, "3"])
+def test_level_count_must_be_a_non_negative_integer(levels, model, count):
+    with pytest.raises(ValueError, match="count"):
+        levels(model, count)
 
 
 class TestAngularWavefunction:
@@ -152,9 +172,9 @@ class TestAngularWavefunction:
 
     def test_degenerate_branch_flagged(self):
         # ell = 0, minus branch: exponent 1/2 - alpha = 0, weight 0
-        assert ps.angular_is_degenerate(1, -1, angular(0.0))
-        assert not ps.angular_is_degenerate(0, -1, angular(0.0))
-        assert not ps.angular_is_degenerate(1, +1, angular(0.0))
+        assert gegenbauer_is_degenerate(1, 0.5 - angular(0.0).alpha)
+        assert not gegenbauer_is_degenerate(0, 0.5 - angular(0.0).alpha)
+        assert not gegenbauer_is_degenerate(1, 0.5 + angular(0.0).alpha)
         # the renormalized family is nonzero where the naive one vanishes
         val = ps.angular_wavefunction(1, -1, angular(0.0), 0.7)
         assert abs(val) > 0.1
