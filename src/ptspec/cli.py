@@ -46,7 +46,8 @@ its token takes a ``%s`` in its row's template.
 
 Exit codes: 0 success, 2 input rejected before any numerics (bad config,
 unsupported model regime, a grid above the command's cap, an --out path
-that cannot be written), 3 the numerics failed, 4 verification FAIL.
+that cannot be written), 3 the numerics failed (among them a wavefunction
+that is not finite at some grid point), 4 verification FAIL.
 """
 
 import argparse
@@ -393,10 +394,16 @@ def cmd_wavefunction(cfg, model, g):
     idx = cfg.wavefunction["index"]
     qp = cfg.wavefunction["qparity"]
     t = grid_points(g)
-    if isinstance(model, PthoParams):
-        psi = ptho_wavefunction(idx, qp, model, t)
-    else:
-        psi = angular_wavefunction(idx, qp, model, t)
+    # an overflowing recurrence is reported once, below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(model, PthoParams):
+            psi = ptho_wavefunction(idx, qp, model, t)
+        else:
+            psi = angular_wavefunction(idx, qp, model, t)
+    bad = np.count_nonzero(~np.isfinite(psi))
+    if bad:
+        raise FloatingPointError(f"wavefunction is not finite at {bad} of "
+                                 f"{len(t)} grid points")
     return ["t", "re_psi", "im_psi"], [t, psi.real, psi.imag], [], {}, EXIT_OK
 
 
@@ -453,7 +460,7 @@ def main(argv=None):
     except (ConfigError, UnsupportedModel) as exc:
         print(f"ptspec: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonConvergence, ValueError) as exc:
+    except (NonConvergence, ValueError, FloatingPointError) as exc:
         print(f"ptspec: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     payload = {"format_version": FORMAT_VERSION, "command": args.command,

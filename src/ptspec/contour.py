@@ -25,9 +25,10 @@ plus the periodic corners; row j of the antidiagonal holds Im V_j.
 real_form assembles A from these O(N) entries as a sparse matrix; the
 complex H is never formed, and only eigen.eig_dense makes A dense.
 In the folded order (0, N-1, 1, N-2, ...) the antidiagonal and the
-periodic corners sit next to the diagonal and the tridiagonal couplings
-two places off it, so folded_band stores A as a band with two sub- and
-two superdiagonals, on both contours and for odd and even N.
+periodic corners sit next to the diagonal and a STENCIL coupling d grid
+steps long 2d places off it, so folded_band stores A as a band of
+half-width BAND_HALFWIDTH, on both contours and for odd and even N; the
+banded routines of eigen read that half-width from the band.
 
 The angular potential ell(ell+1)/sin^2 z + lam(lam+1)/cos^2 z has period
 pi.  On the periodic grid with N % 4 == 0 the shift by N/2 points is that
@@ -55,6 +56,11 @@ from .models import (AngularParams, PthoParams, require_count,
 MIN_POINTS = 16
 MAX_POINTS = 4096    # largest grid real_form assembles (eig_dense: 8 N^2 bytes)
 DEFAULT_HALFWIDTH = 12.0
+# -h^2 d^2/dt^2 as the central 3-point stencil: the diagonal coefficient,
+# then the coupling to each neighbour; in the folded order a coupling d
+# steps long lies 2d places off the diagonal
+STENCIL = (2.0, -1.0)
+BAND_HALFWIDTH = 2 * (len(STENCIL) - 1)
 
 
 @dataclass(frozen=True)
@@ -153,7 +159,7 @@ def real_form(model, g: Contour):
     ValueError."""
     _check_size(g)
     h = g.gridstep
-    corner = -1.0 / h ** 2 if g.kind == "periodic" else None
+    corner = STENCIL[1] / h ** 2 if g.kind == "periodic" else None
     return _assemble(potential_value(model, grid_points(g)), h, corner)
 
 
@@ -174,7 +180,7 @@ def real_blocks(model, g: Contour):
     _check_size(g)
     h = g.gridstep
     v = potential_value(model, grid_points(g)[n // 4:n // 4 + n // 2])
-    return [_assemble(v, h, -s / h ** 2) for s in (1.0, -1.0)]
+    return [_assemble(v, h, s * STENCIL[1] / h ** 2) for s in (1.0, -1.0)]
 
 
 def _check_size(g):
@@ -191,10 +197,10 @@ def _assemble(v, h, corner):
                          "V(-t) != conj(V(t))")
     n = len(v)
     idx = np.arange(n)
-    off = np.full(n - 1, -1.0 / h ** 2)
+    off = np.full(n - 1, STENCIL[1] / h ** 2)
     rows = [idx, idx[:-1], idx[1:], idx]
     cols = [idx, idx[1:], idx[:-1], idx[::-1]]
-    data = [2.0 / h ** 2 + v.real, off, off, v.imag]
+    data = [STENCIL[0] / h ** 2 + v.real, off, off, v.imag]
     if corner is not None:
         rows.append([0, n - 1])
         cols.append([n - 1, 0])
@@ -215,15 +221,15 @@ def folded_order(n):
 
 def folded_band(a):
     """The real form `a` (the COO array real_form returns) in the folded
-    order p = folded_order(N) as a (5, N) float array in LAPACK band
-    storage with two sub- and two superdiagonals:
-    band[2 + i - j, j] = A[p[i], p[j]].  Entries that meet at one
+    order p = folded_order(N) as a (2w + 1, N) float array in LAPACK band
+    storage with w = BAND_HALFWIDTH sub- and superdiagonals:
+    band[w + i - j, j] = A[p[i], p[j]].  Entries that meet at one
     position are summed, as on conversion of the COO array."""
     n = a.shape[0]
     position = np.empty(n, dtype=int)
     position[folded_order(n)] = np.arange(n)
     i, j = position[a.row], position[a.col]
-    band = np.zeros((5, n))
-    np.add.at(band, (2 + i - j, j), a.data)
+    band = np.zeros((2 * BAND_HALFWIDTH + 1, n))
+    np.add.at(band, (BAND_HALFWIDTH + i - j, j), a.data)
     return band
 

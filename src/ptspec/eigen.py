@@ -29,8 +29,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .contour import (contour_for, folded_band, folded_order, real_blocks,
-                      real_form)
+from .contour import (STENCIL, contour_for, folded_band, folded_order,
+                      real_blocks, real_form)
 from .exceptions import InsufficientLevels, NonConvergence
 from .models import PthoParams, ptho_levels, require_count
 
@@ -200,8 +200,8 @@ def _band_vectors(a, shifts):
     rounding-split doublet near 4/h^2) is redone from the next start in
     START_SEEDS, and one still above it raises NonConvergence.
     """
-    n = a.shape[0]
     band = folded_band(a)
+    n, w = band.shape[1], len(band) // 2
     norm = np.abs(band).sum(axis=0).max()
     tiny = np.finfo(float).eps * norm
     sparse, order = a.tocsr(), folded_order(n)
@@ -209,16 +209,16 @@ def _band_vectors(a, shifts):
     todo = np.arange(len(shifts))
     for seed in START_SEEDS:
         start = np.random.default_rng(seed).standard_normal(n)
-        w = np.empty((n, len(todo)), dtype=complex)
-        for rows, lu, ipiv in _stacked_lu(band, shifts[todo]):
-            lu[4][np.abs(lu[4]) < tiny] = tiny
+        v = np.empty((n, len(todo)), dtype=complex)
+        for rows, lu, ipiv, u in _stacked_lu(band, shifts[todo]):
+            u[np.abs(u) < tiny] = tiny
             m = rows.stop - rows.start
             x, _ = scipy.linalg.lapack.zgbtrs(
-                lu, 2, 2, np.tile(start, m)[:, None], ipiv)
-            w[order, rows] = x.reshape(m, n).T
-        w /= np.linalg.norm(w, axis=0)
-        error = np.linalg.norm(sparse @ w - w * shifts[todo], axis=0) / norm
-        y[:, todo] = w
+                lu, w, w, np.tile(start, m)[:, None], ipiv)
+            v[order, rows] = x.reshape(m, n).T
+        v /= np.linalg.norm(v, axis=0)
+        error = np.linalg.norm(sparse @ v - v * shifts[todo], axis=0) / norm
+        y[:, todo] = v
         todo = todo[~(error <= BACKWARD_ERROR_TOL)]      # NaN fails too
         if len(todo) == 0:
             return y
@@ -262,10 +262,10 @@ def solve_lowest(model, contour, count, reality_tol=DEFAULT_REALITY_TOL):
 
 
 def _shift(diagonal, g):
-    """sigma = min(Re V) - 1 from diag(A) = 2/h^2 + Re V.  The symmetric
-    part of A is -D2 + diag(Re V) >= min(Re V), so by Bendixson's theorem
-    every eigenvalue has Re > sigma."""
-    return diagonal.min() - 2.0 / g.gridstep ** 2 - 1.0
+    """sigma = min(Re V) - 1 from diag(A) = STENCIL[0]/h^2 + Re V.  The
+    symmetric part of A is -D2 + diag(Re V) >= min(Re V), so by
+    Bendixson's theorem every eigenvalue has Re > sigma."""
+    return diagonal.min() - STENCIL[0] / g.gridstep ** 2 - 1.0
 
 
 def _certified_window(model, g, k, certify):
@@ -280,7 +280,7 @@ def _certified_window(model, g, k, certify):
     (_dense_spectrum, as in solve_spectrum) answers instead."""
     a = real_form(model, g)
     band = folded_band(a)
-    sigma = _shift(band[2], g)
+    sigma = _shift(band[len(band) // 2], g)
     cut = _spurious_cut(g, band)
     a = a.tocsc()
     n = g.npoints
@@ -411,30 +411,30 @@ def _log_step(start, end):
 
 def _skew_norm(band):
     """||K||_inf of the skew part K = (A - A^T)/2 of the banded A."""
-    n = band.shape[1]
+    n, w = band.shape[1], len(band) // 2
     rows = np.zeros(n)
-    for d in (1, 2):
-        skew = np.abs(band[2 - d, d:] - band[2 + d, :n - d]) / 2.0
+    for d in range(1, w + 1):
+        skew = np.abs(band[w - d, d:] - band[w + d, :n - d]) / 2.0
         rows[:n - d] += skew
         rows[d:] += skew
     return rows.max()
 
 
 def _stacked_lu(band, z):
-    """Yield (rows, lu, ipiv): one zgbtrf call factors A - z_i, A given
+    """Yield (rows, lu, ipiv, u): one zgbtrf call factors A - z_i, A given
     by its folded band, for the shifts z[rows], up to LU_ROWS rows, side
     by side as the blocks of one band matrix with zero coupling, so
-    partial pivoting never crosses a block.  U's diagonal is lu[4]."""
-    n = band.shape[1]
+    partial pivoting never crosses a block; u views U's diagonal in lu."""
+    n, w = band.shape[1], len(band) // 2
     per_call = max(1, min(len(z), LU_ROWS // n))
-    stack = np.zeros((7, per_call * n), dtype=complex, order="F")
-    stack[2:] = np.tile(band, per_call)
+    stack = np.zeros((3 * w + 1, per_call * n), dtype=complex, order="F")
+    stack[w:] = np.tile(band, per_call)
     for start in range(0, len(z), per_call):
         shifts = z[start:start + per_call]
         ab = stack[:, :len(shifts) * n].copy(order="F")
-        ab[4] -= np.repeat(shifts, n)
-        lu, ipiv, _ = scipy.linalg.lapack.zgbtrf(ab, 2, 2, overwrite_ab=True)
-        yield slice(start, start + len(shifts)), lu, ipiv
+        ab[2 * w] -= np.repeat(shifts, n)
+        lu, ipiv, _ = scipy.linalg.lapack.zgbtrf(ab, w, w, overwrite_ab=True)
+        yield slice(start, start + len(shifts)), lu, ipiv, lu[2 * w]
 
 
 def _log_det(band, z):
@@ -448,9 +448,8 @@ def _log_det(band, z):
     """
     n = band.shape[1]
     out = np.empty(len(z), dtype=complex)
-    for rows, lu, ipiv in _stacked_lu(band, z):
+    for rows, _, ipiv, u in _stacked_lu(band, z):
         m = rows.stop - rows.start
-        u = lu[4]
         swaps = np.count_nonzero((ipiv != np.arange(m * n)).reshape(m, n),
                                  axis=1)
         with np.errstate(divide="ignore"):

@@ -30,11 +30,14 @@ from .specfun import (cpow, gegenbauer, gegenbauer_is_degenerate,
 
 
 def require_finite(params):
-    """Reject a NaN or infinite numeric field of a parameter dataclass."""
+    """Reject a field of a parameter dataclass that is not a finite real
+    number; fields annotated str are skipped."""
     for f in fields(params):
         value = getattr(params, f.name)
-        if not isinstance(value, str) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+        if f.type is not str and not (isinstance(value, numbers.Real)
+                                      and math.isfinite(value)):
+            raise ValueError(f"{f.name} must be a finite real number, "
+                             f"got {value!r}")
 
 
 def require_count(name, value, least):

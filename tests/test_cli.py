@@ -848,6 +848,25 @@ class TestScanCommand:
 
 
 class TestWavefunctionCommand:
+    @pytest.mark.parametrize("doc", [
+        # the Laguerre recurrence overflows at index 400 on a wide grid
+        {"contour": {"npoints": 401, "halfwidth": 40.0},
+         "wavefunction": {"index": 400}},
+        # and the Gegenbauer one far up the ladder of a strongly shifted
+        # circle
+        {"model": {"kind": "angular", "ell": 1.0, "shift": 3.0},
+         "contour": {"npoints": 64}, "wavefunction": {"index": 1000}}])
+    def test_non_finite_wavefunction_exits_3(self, tmp_path, capsys, doc):
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "wf.csv"
+        for args in ([], ["--out", str(out)]):
+            code = main(["wavefunction", "--config", cfg, *args])
+            captured = capsys.readouterr()
+            assert code == EXIT_SOLVER and captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert "wavefunction is not finite" in captured.err
+        assert not out.exists()
+
     def test_pt_symmetric_profile(self, tmp_path, capsys):
         # n = 1, quasi-odd branch, alpha = 3/2: Re even, Im odd in t
         cfg = write_config(tmp_path, {

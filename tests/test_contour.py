@@ -91,7 +91,8 @@ class TestContourGeometry:
             ps.PthoParams(alpha=0.5, c=-1.0)
 
     @pytest.mark.parametrize("field", ["halfwidth", "npoints"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "8",
+                                     None])
     def test_non_finite_rejected(self, field, bad):
         args = {"kind": "straight", "halfwidth": 8.0, "npoints": 32,
                 field: bad}

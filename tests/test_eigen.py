@@ -15,7 +15,7 @@ import ptspec.eigen
 from ptspec.contour import MAX_POINTS, folded_band, real_blocks, real_form
 from ptspec.eigen import (PAIR, REAL, SPURIOUS, _band_vectors,
                           _dense_spectrum, _gap_above, _log_det, _pt_defects,
-                          _shift, _spurious_cut, count_missing)
+                          _shift, _skew_norm, _spurious_cut, count_missing)
 from ptspec.exceptions import InsufficientLevels, NonConvergence
 
 from test_contour import complex_stencil
@@ -845,6 +845,28 @@ class TestCountMissing:
         assert _log_det(band, z) == pytest.approx(stacked, rel=1e-13)
         single = np.array([_log_det(band, z[i:i + 1])[0] for i in range(23)])
         assert np.array_equal(stacked, single)
+
+    @pytest.mark.parametrize("model,npoints", SMALL_MODELS)
+    def test_half_width_is_read_from_the_band(self, model, npoints):
+        # a zero outer diagonal on each side (half-width 3) stores the
+        # same A, so every banded routine must give the same answers
+        g = ps.contour_for(model, npoints=npoints, halfwidth=8.0)
+        a = real_form(model, g)
+        band = folded_band(a)
+        padded = np.pad(band, ((1, 1), (0, 0)))
+        z = np.array([-3.0, 0.7, 10.0, 5.0 - 2.0j, 40.0 - 9.0j, 2.0 + 30.0j])
+        assert np.array_equal(_log_det(padded, z), _log_det(band, z))
+        assert _skew_norm(padded) == _skew_norm(band)
+        sigma = _shift(band[2], g)
+        ev = ps.eig_dense(a)
+        x = _gap_above(ev.real, ev.real[5])
+        window = ev[ev.real < x]
+        # without two real values, or without the lowest conjugate pair
+        real = np.flatnonzero(window.imag == 0)
+        drop = real[:2] if len(real) >= 2 else np.flatnonzero(window.imag)[:2]
+        for poles, missing in ((window, 0), (np.delete(window, drop), 2)):
+            assert count_missing(band, sigma, x, poles) == missing
+            assert count_missing(padded, sigma, x, poles) == missing
 
     @pytest.mark.parametrize("model,npoints", SMALL_MODELS)
     def test_count_matches_dense_eigenvalues(self, model, npoints):

@@ -18,7 +18,9 @@ def angular(ell, eps=0.1, lam=0.0):
     return ps.AngularParams(ell=ell, eps=eps, lam=lam)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+# a non-number is rejected as a ValueError, as a non-finite number is
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1.5", None,
+                                 1j])
 @pytest.mark.parametrize("make,field", [
     (lambda x: ps.PthoParams(alpha=x, c=1.0), "alpha"),
     (lambda x: ps.PthoParams(alpha=1.5, c=x), "c"),
