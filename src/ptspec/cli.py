@@ -4,8 +4,9 @@
            [--out FILE] [--format csv|json]
 
 Configuration is a single JSON document, the only way to set a run's
-parameters.  It is parsed and range-checked in full against DEFAULTS
-before any numerics run.
+parameters.  parse_config types and range-checks it in full against
+DEFAULTS before any numerics run, into the {section: {key: value}} dict
+that every command reads and the JSON payload echoes.
 
 Every run is deterministic, byte for byte, at a fixed BLAS thread count.
 Threaded OpenBLAS rounds LAPACK's blocked reductions differently with the
@@ -52,9 +53,7 @@ that is not finite at some grid point), 4 verification FAIL.
 
 import argparse
 import contextlib
-import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -97,11 +96,7 @@ class ConfigError(ValueError):
 
 def fmt(x):
     """Shortest float rendering capped at 12 significant digits."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, float) and not math.isfinite(x):
-        return str(x)
-    return f"{float(x):.12g}"
+    return "%.12g" % x
 
 
 def fnum(x):
@@ -149,11 +144,12 @@ def _typed(name, value, default):
 
 
 def _check_bounds(cfg):
-    sc, wf = cfg.scan, cfg.wavefunction
-    npoints = cfg.contour["npoints"]
+    sc, wf = cfg["scan"], cfg["wavefunction"]
+    count, tol = cfg["verify"]["count"], cfg["tolerances"]
+    npoints = cfg["contour"]["npoints"]
     for ok, message in [
-            (cfg.verify["count"] >= 1, "verify.count must be at least 1"),
-            (cfg.verify["count"] <= npoints,
+            (count >= 1, "verify.count must be at least 1"),
+            (count <= npoints,
              f"verify.count must not exceed contour.npoints ({npoints}): "
              "the grid has no more levels"),
             (sc["steps"] >= 2, "scan.steps must be at least 2"),
@@ -168,70 +164,57 @@ def _check_bounds(cfg):
             (wf["index"] >= 0, "wavefunction.index must be non-negative"),
             (wf["qparity"] in (1, -1),
              "wavefunction.qparity must be +1 or -1"),
-            (min(cfg.tolerances.values()) >= 0,
-             f"tolerances must be non-negative: {cfg.tolerances}")]:
+            (min(tol.values()) >= 0,
+             f"tolerances must be non-negative: {tol}")]:
         if not ok:
             raise ConfigError(message)
 
 
-@dataclasses.dataclass
-class RunConfig:
-    model: dict
-    contour: dict
-    tolerances: dict
-    scan: dict
-    wavefunction: dict
-    verify: dict
+def parse_config(doc):
+    """Parse and range-check a config document: {section: {key: value}},
+    every value typed, and a section's missing keys at their defaults."""
+    if not isinstance(doc, dict):
+        raise ConfigError("config document must be a JSON object")
+    unknown = set(doc) - set(DEFAULTS)
+    if unknown:
+        raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
+    cfg = {}
+    for name, defaults in DEFAULTS.items():
+        given = doc.get(name, {})
+        if not isinstance(given, dict):
+            raise ConfigError(f"config section {name!r} must be an object")
+        if name == "model":
+            kind = _typed("model.kind", given.get("kind", defaults["kind"]),
+                          defaults["kind"])
+            if kind not in MODEL_KEYS:
+                raise ConfigError(f"unknown model kind {kind!r}")
+        keys, where = list(defaults), repr(name)
+        if name in MODEL_KEYS[kind]:
+            keys = MODEL_KEYS[kind][name]
+            where = f"{name!r} for model kind {kind!r}"
+        bad = set(given) - set(keys)
+        if bad:
+            raise ConfigError(f"unknown key(s) in {where}: {sorted(bad)}")
+        cfg[name] = {key: _typed(f"{name}.{key}",
+                                 given.get(key, defaults[key]), defaults[key])
+                     for key in keys}
+    _check_bounds(cfg)
+    return cfg
 
-    @classmethod
-    def from_dict(cls, doc):
-        """Parse and range-check a config document; every value comes out
-        typed, and a section's missing keys take their defaults."""
-        if not isinstance(doc, dict):
-            raise ConfigError("config document must be a JSON object")
-        unknown = set(doc) - set(DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
-        sections = {}
-        for name, defaults in DEFAULTS.items():
-            given = doc.get(name, {})
-            if not isinstance(given, dict):
-                raise ConfigError(f"config section {name!r} must be an object")
-            if name == "model":
-                kind = _typed("model.kind", given.get("kind", defaults["kind"]),
-                              defaults["kind"])
-                if kind not in MODEL_KEYS:
-                    raise ConfigError(f"unknown model kind {kind!r}")
-            keys, where = list(defaults), repr(name)
-            if name in MODEL_KEYS[kind]:
-                keys = MODEL_KEYS[kind][name]
-                where = f"{name!r} for model kind {kind!r}"
-            bad = set(given) - set(keys)
-            if bad:
-                raise ConfigError(f"unknown key(s) in {where}: {sorted(bad)}")
-            sections[name] = {
-                key: _typed(f"{name}.{key}", given.get(key, defaults[key]),
-                            defaults[key]) for key in keys}
-        cfg = cls(**sections)
-        _check_bounds(cfg)
-        return cfg
 
-    def to_dict(self):
-        return {name: dict(getattr(self, name)) for name in DEFAULTS}
-
-    def build(self):
-        """The model and its contour; ConfigError when a value lies outside
-        the model's or the contour's domain."""
-        m = self.model
-        try:
-            if m["kind"] == "ptho":
-                model = PthoParams(alpha=m["alpha"], c=m["shift"])
-            else:
-                model = AngularParams(ell=m["ell"], eps=m["shift"],
-                                      lam=m["lambda"])
-            return model, contour_for(model, **self.contour)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+def build(cfg):
+    """The model and its contour; ConfigError when a value lies outside
+    the model's or the contour's domain."""
+    m = cfg["model"]
+    try:
+        if m["kind"] == "ptho":
+            model = PthoParams(alpha=m["alpha"], c=m["shift"])
+        else:
+            model = AngularParams(ell=m["ell"], eps=m["shift"],
+                                  lam=m["lambda"])
+        return model, contour_for(model, **cfg["contour"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path):
@@ -242,7 +225,7 @@ def load_config(path):
                 doc = json.load(fh)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-    return RunConfig.from_dict(doc)
+    return parse_config(doc)
 
 
 def _json_float(cell):
@@ -329,7 +312,7 @@ def _render(payload, columns, table, comments, out, outfmt):
 # list of strings.
 
 def cmd_spectrum(cfg, model, g):
-    result = solve_spectrum(model, g, reality_tol=cfg.tolerances["reality"])
+    result = solve_spectrum(model, g, reality_tol=cfg["tolerances"]["reality"])
     ev = result.eigenvalues
     table = [np.arange(len(ev)), ev.real, ev.imag,
              list(result.classifications), np.asarray(result.pt_defects)]
@@ -338,8 +321,8 @@ def cmd_spectrum(cfg, model, g):
 
 
 def cmd_verify(cfg, model, g):
-    tol = cfg.tolerances
-    count = cfg.verify["count"]
+    tol = cfg["tolerances"]
+    count = cfg["verify"]["count"]
     # the closed form first: a model without one exits before the solve
     levels = (ptho_levels if isinstance(model, PthoParams)
               else termination_levels)(model, count)
@@ -361,13 +344,13 @@ def cmd_scan(cfg, model, g):
     if not isinstance(model, PthoParams):
         raise ConfigError("scan sweeps the oscillator coupling; "
                           "model kind must be 'ptho'")
-    sc = cfg.scan
+    sc = cfg["scan"]
     family = ptho_numeric_family(
         c=model.c, npoints=g.npoints, halfwidth=g.halfwidth,
         levels=sc["levels"])
     scan = scan_parameter(family, sc["lo"], sc["hi"], sc["steps"],
                           sc["levels"],
-                          crossing_tol=cfg.tolerances["crossing"])
+                          crossing_tol=cfg["tolerances"]["crossing"])
     params, index, energies = [], [], []
     for p, evs in zip(scan.params, scan.energies):
         if evs is not None:
@@ -391,8 +374,8 @@ def cmd_scan(cfg, model, g):
 
 
 def cmd_wavefunction(cfg, model, g):
-    idx = cfg.wavefunction["index"]
-    qp = cfg.wavefunction["qparity"]
+    idx = cfg["wavefunction"]["index"]
+    qp = cfg["wavefunction"]["qparity"]
     t = grid_points(g)
     # an overflowing recurrence is reported once, below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
@@ -446,7 +429,7 @@ def main(argv=None):
             raise ConfigError(f"--out {args.out!r} is a directory, a read-only"
                               " file, or in a missing or read-only directory")
         cfg = load_config(args.config)
-        model, g = cfg.build()
+        model, g = build(cfg)
         # spectrum solves each real form block as one dense array in
         # eig_dense (8 N^2 bytes for the full grid); verify and scan fall
         # back to that solve when a window is not certified.
@@ -464,7 +447,7 @@ def main(argv=None):
         print(f"ptspec: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     payload = {"format_version": FORMAT_VERSION, "command": args.command,
-               "config": cfg.to_dict(), **extra}
+               "config": cfg, **extra}
     _render(payload, columns, table, comments, args.out, args.format)
     return code
 

@@ -17,8 +17,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import ptspec.cli
 from ptspec.cli import (BLOCK_ROWS, DEFAULTS, EXIT_CONFIG, EXIT_OK,
                         EXIT_SOLVER, EXIT_VERIFY_FAIL, MAX_ROWS, MODEL_KEYS,
-                        ConfigError, RunConfig, _json_float, _render,
-                        _write_rows, build_parser, fmt, fnum, main)
+                        ConfigError, _json_float, _render, _write_rows,
+                        build_parser, fmt, fnum, main, parse_config)
 from ptspec.exceptions import DomainError
 from ptspec.models import (AngularParams, PthoParams, angular_energy,
                            ptho_energy, ptho_levels, termination_levels)
@@ -83,32 +83,31 @@ class TestConfig:
             "wavefunction": {"index": 2, "qparity": -1},
             "verify": {"count": 5},
         }
-        cfg = RunConfig.from_dict(doc)
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
-        assert cfg.to_dict() == doc
+        cfg = parse_config(doc)
+        assert parse_config(cfg) == cfg
+        assert cfg == doc
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ValueError):
-            RunConfig.from_dict({"modle": {}})
+            parse_config({"modle": {}})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
-            RunConfig.from_dict({"model": {"kind": "ptho", "alfa": 2.0}})
+            parse_config({"model": {"kind": "ptho", "alfa": 2.0}})
 
     def test_defaults_fill_missing_sections(self):
-        cfg = RunConfig.from_dict({})
-        assert cfg.model == {"kind": "ptho", "alpha": 1.5, "shift": 1.0}
-        assert cfg.contour["npoints"] == 2000
-        angular = RunConfig.from_dict({"model": {"kind": "angular"}})
-        assert angular.model == {"kind": "angular", "ell": 1.0,
-                                 "lambda": 0.0, "shift": 1.0}
-        assert angular.contour == {"npoints": 2000}
+        cfg = parse_config({})
+        assert cfg["model"] == {"kind": "ptho", "alpha": 1.5, "shift": 1.0}
+        assert cfg["contour"]["npoints"] == 2000
+        angular = parse_config({"model": {"kind": "angular"}})
+        assert angular["model"] == {"kind": "angular", "ell": 1.0,
+                                    "lambda": 0.0, "shift": 1.0}
+        assert angular["contour"] == {"npoints": 2000}
 
     def test_values_come_out_typed(self):
-        cfg = RunConfig.from_dict({"contour": {"npoints": 64.0,
-                                               "halfwidth": 8}})
-        assert type(cfg.contour["npoints"]) is int
-        assert type(cfg.contour["halfwidth"]) is float
+        cfg = parse_config({"contour": {"npoints": 64.0, "halfwidth": 8}})
+        assert type(cfg["contour"]["npoints"]) is int
+        assert type(cfg["contour"]["halfwidth"]) is float
 
     def test_fmt_caps_significant_digits(self):
         assert fmt(1.0) == "1"
@@ -118,7 +117,7 @@ class TestConfig:
 
 
 def valid_value(section, key, default):
-    """Values from_dict accepts for one numeric field."""
+    """Values parse_config accepts for one numeric field."""
     if type(default) is float:
         if key == "lo":                 # the lowest coupling of a scan
             return st.floats(0.0, 1e6, exclude_min=True)
@@ -163,12 +162,12 @@ def valid_docs(draw):
 
 
 class TestConfigProperties:
-    """from_dict over documents drawn from the schema; no solves."""
+    """parse_config over documents drawn from the schema; no solves."""
 
     @given(valid_docs())
     def test_valid_documents_round_trip(self, doc):
-        cfg = RunConfig.from_dict(doc)
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        cfg = parse_config(doc)
+        assert parse_config(cfg) == cfg
 
     @given(valid_docs(), st.data())
     def test_one_bad_value_is_rejected(self, doc, data):
@@ -181,7 +180,7 @@ class TestConfigProperties:
             bad.append(data.draw(st.floats(0.01, 0.99)) + 3)
         doc.setdefault(section, {})[key] = data.draw(st.sampled_from(bad))
         with pytest.raises(ConfigError):
-            RunConfig.from_dict(doc)
+            parse_config(doc)
 
 
 class TestExitCodes:
@@ -342,7 +341,7 @@ class TestExitCodes:
         code, out = run(["scan", "--config", cfg], capsys)
         assert code == EXIT_CONFIG and out == ""
         # a table of exactly MAX_ROWS rows is accepted
-        RunConfig.from_dict({"scan": {"steps": MAX_ROWS // 4, "levels": 4}})
+        parse_config({"scan": {"steps": MAX_ROWS // 4, "levels": 4}})
 
     @pytest.mark.parametrize("command,work", [("verify", "solve_lowest"),
                                               ("wavefunction", "grid_points")])
@@ -580,8 +579,9 @@ def text_rendering(payload, columns, table, comments, outfmt):
     if outfmt == "csv":
         lines = [",".join(columns)]
         for row in rows:
-            lines.append(",".join(fmt(x) if not isinstance(x, str) else x
-                                  for x in row))
+            lines.append(",".join(
+                x if isinstance(x, str) else str(x)
+                if isinstance(x, np.integer) else fmt(x) for x in row))
         lines.extend(comments)
         return "\n".join(lines) + "\n"
     payload["columns"] = columns

@@ -936,6 +936,26 @@ class TestCountMissing:
         band, sigma, x, values = scan_window(model, g, levels)
         assert count_missing(band, sigma, x, values) == 0
 
+    def test_unresolved_count_stops_at_the_evaluation_cap(self, monkeypatch):
+        # a NaN in the band makes every step of log f NaN, so no segment
+        # ever resolves; the count must give None within MAX_LOG_DETS
+        # determinants, not bisect without bound
+        model = ps.PthoParams(1.5, 1.0)
+        g = ps.contour_for(model, npoints=48, halfwidth=8.0)
+        band, sigma, x, values = scan_window(model, g, 4)
+        band[len(band) // 2, 10] = np.nan
+        evaluations = []
+        log_det = ptspec.eigen._log_det
+
+        def counted(band, z):
+            evaluations.append(len(z))
+            # far above the cap, far below an unbounded bisection
+            assert sum(evaluations) <= 10 ** 4, "count_missing does not stop"
+            return log_det(band, z)
+        monkeypatch.setattr(ptspec.eigen, "_log_det", counted)
+        assert count_missing(band, sigma, x, values) is None
+        assert sum(evaluations) <= ptspec.eigen.MAX_LOG_DETS
+
 
 def dense_family(c, npoints, halfwidth):
     """The oscillator family from the dense eigvals, with the spurious
