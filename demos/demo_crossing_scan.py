@@ -34,7 +34,9 @@ def main():
 
     print(f"\nnumeric ladder ({args.npoints} grid points, "
           f"{args.steps} sweep steps) ...")
-    family = ps.ptho_numeric_family(npoints=args.npoints, halfwidth=10.0)
+    model = ps.PthoParams(alpha=args.lo, c=1.0)
+    g = ps.contour_for(model, npoints=args.npoints, halfwidth=10.0)
+    family = ps.ptho_numeric_family(model, g, 6)
     numeric = ps.scan_parameter(family, args.lo, args.hi, args.steps, 6,
                                 crossing_tol=5e-3)
     for c in numeric.crossings:

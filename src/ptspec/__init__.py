@@ -6,8 +6,7 @@ independent finite-difference eigensolver on shifted complex contours
 (``ptspec``).
 """
 
-from .contour import (Contour, contour_for, grid_points, periodic_contour,
-                      potential_value, straight_contour)
+from .contour import Contour, contour_for, grid_points, potential_value
 from .eigen import (Crossing, ScanResult, classify_spectrum,
                     crossing_params, eig_dense, match_spectra, pt_defect,
                     ptho_analytic_family, ptho_numeric_family,

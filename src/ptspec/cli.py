@@ -48,7 +48,8 @@ its token takes a ``%s`` in its row's template.
 Exit codes: 0 success, 2 input rejected before any numerics (bad config,
 unsupported model regime, a grid above the command's cap, an --out path
 that cannot be written), 3 the numerics failed (among them a wavefunction
-that is not finite at some grid point), 4 verification FAIL.
+that is not finite at some grid point, and a parameter or potential that
+overflows), 4 verification FAIL.
 """
 
 import argparse
@@ -101,8 +102,6 @@ def fmt(x):
 
 def fnum(x):
     """The numeric payload actually emitted: value after 12-digit capping."""
-    if isinstance(x, (int, np.integer)):
-        return int(x)
     return float(fmt(x))
 
 
@@ -345,9 +344,7 @@ def cmd_scan(cfg, model, g):
         raise ConfigError("scan sweeps the oscillator coupling; "
                           "model kind must be 'ptho'")
     sc = cfg["scan"]
-    family = ptho_numeric_family(
-        c=model.c, npoints=g.npoints, halfwidth=g.halfwidth,
-        levels=sc["levels"])
+    family = ptho_numeric_family(model, g, sc["levels"])
     scan = scan_parameter(family, sc["lo"], sc["hi"], sc["steps"],
                           sc["levels"],
                           crossing_tol=cfg["tolerances"]["crossing"])
@@ -443,7 +440,7 @@ def main(argv=None):
     except (ConfigError, UnsupportedModel) as exc:
         print(f"ptspec: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonConvergence, ValueError, FloatingPointError) as exc:
+    except (NonConvergence, ValueError, ArithmeticError) as exc:
         print(f"ptspec: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     payload = {"format_version": FORMAT_VERSION, "command": args.command,

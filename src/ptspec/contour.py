@@ -89,21 +89,13 @@ class Contour:
         return 2.0 * np.pi / self.npoints
 
 
-def straight_contour(npoints, halfwidth=DEFAULT_HALFWIDTH):
-    return Contour("straight", halfwidth, npoints)
-
-
-def periodic_contour(npoints):
-    return Contour("periodic", np.pi, npoints)
-
-
 def contour_for(model, npoints, halfwidth=DEFAULT_HALFWIDTH):
     """Natural contour for a model: straight line for the oscillator,
     periodic interval for the angular equation."""
     if isinstance(model, PthoParams):
-        return straight_contour(npoints, halfwidth)
+        return Contour("straight", halfwidth, npoints)
     if isinstance(model, AngularParams):
-        return periodic_contour(npoints)
+        return Contour("periodic", np.pi, npoints)
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 
@@ -122,6 +114,7 @@ def grid_points(g: Contour):
     return 0.5 * (t - t[::-1])   # enforce exact reflection symmetry
 
 
+@np.errstate(all="ignore")
 def potential_value(model, t):
     """Complex potential at contour points t - i shift, with the model's
     shift (c or eps).
@@ -129,6 +122,8 @@ def potential_value(model, t):
     Oscillator: (t - ic)^2 + (alpha^2 - 1/4)/(t - ic)^2 (the +c^2 from
     completing the square is excluded).  Angular:
     ell(ell+1)/sin^2 z + lam(lam+1)/cos^2 z at z = t - i eps.
+    A value that overflows is inf or nan without a warning: the assembly
+    reports it once, as an error.
     """
     shift = model.c if isinstance(model, PthoParams) else model.eps
     z = np.asarray(t, dtype=float) - 1j * shift
@@ -155,8 +150,8 @@ def real_form(model, g: Contour):
     """The real form A of the 3-point operator on g (module docstring) as
     a scipy.sparse COO array of its O(N) entries in natural grid order;
     entries that meet at one position are summed on conversion.  A
-    potential with V[::-1] != conj(V), or a grid above MAX_POINTS, raises
-    ValueError."""
+    potential that is not finite or has V[::-1] != conj(V), or a grid
+    above MAX_POINTS, raises ValueError."""
     _check_size(g)
     h = g.gridstep
     corner = STENCIL[1] / h ** 2 if g.kind == "periodic" else None
@@ -192,6 +187,10 @@ def _check_size(g):
 def _assemble(v, h, corner):
     """A for the potential values v on a reflection-symmetric grid of step
     h, with the periodic corner entry `corner` (None: no corners)."""
+    bad = np.count_nonzero(~np.isfinite(v))
+    if bad:
+        raise ValueError(f"potential is not finite at {bad} of {len(v)} "
+                         "grid points")
     if not np.array_equal(v[::-1], np.conj(v)):
         raise ValueError("potential is not PT-symmetric on the grid: "
                          "V(-t) != conj(V(t))")

@@ -23,14 +23,14 @@ rectangle.  Values with Re above about 2/h^2 are grid artifacts
 closed form as the four columns that `ptspec verify` prints.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .contour import (STENCIL, contour_for, folded_band, folded_order,
-                      real_blocks, real_form)
+from .contour import (STENCIL, folded_band, folded_order, real_blocks,
+                      real_form)
 from .exceptions import InsufficientLevels, NonConvergence
 from .models import PthoParams, ptho_levels, require_count
 
@@ -586,9 +586,10 @@ def ptho_analytic_family():
     return spectrum
 
 
-def ptho_numeric_family(c=1.0, npoints=600, halfwidth=10.0, levels=6):
+def ptho_numeric_family(model, contour, levels):
     """Discretized oscillator family for scans: alpha -> the retained
-    values below a certified x, at least `levels` of them when they exist.
+    values of `model` at coupling alpha on `contour` below a certified x,
+    at least `levels` of them when they exist.
 
     Each point runs the shift-invert window loop of solve_lowest with
     k = 2 levels + 4.  x is the midpoint of the first wide gap in real parts
@@ -604,16 +605,14 @@ def ptho_numeric_family(c=1.0, npoints=600, halfwidth=10.0, levels=6):
     """
     require_count("levels", levels, 1)
 
+    def certify(band, sigma, cut, values):
+        x = _gap_above(values.real, np.sort(values.real)[levels - 1])
+        if x is None or count_missing(band, sigma, x, values) != 0:
+            return None
+        return values[values.real < x]
+
     def spectrum(alpha):
-        model = PthoParams(alpha=alpha, c=c)
-        g = contour_for(model, npoints=npoints, halfwidth=halfwidth)
-
-        def certify(band, sigma, cut, values):
-            x = _gap_above(values.real, np.sort(values.real)[levels - 1])
-            if x is None or count_missing(band, sigma, x, values) != 0:
-                return None
-            return values[values.real < x]
-
-        values, cut = _certified_window(model, g, 2 * levels + 4, certify)
+        values, cut = _certified_window(replace(model, alpha=alpha), contour,
+                                        2 * levels + 4, certify)
         return values[values.real <= cut]
     return spectrum

@@ -64,7 +64,9 @@ def angular_1024():
 
 @pytest.fixture(scope="session")
 def ptho_scan():
-    family = ps.ptho_numeric_family(c=PTHO_C, npoints=600, halfwidth=10.0)
+    model = ps.PthoParams(alpha=PTHO_ALPHA, c=PTHO_C)
+    g = ps.contour_for(model, npoints=600, halfwidth=10.0)
+    family = ps.ptho_numeric_family(model, g, 6)
     return ps.scan_parameter(family, 0.5, 2.5, 41, 6, crossing_tol=5e-3)
 
 

@@ -3,12 +3,14 @@ configuration handling."""
 
 import contextlib
 import copy
+import ctypes
 import io
 import json
 import math
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -408,6 +410,44 @@ class TestExitCodes:
         assert code == EXIT_SOLVER and captured.out == ""
         assert "solver failed" in captured.err
 
+    @pytest.mark.parametrize("command,doc", [
+        # the grid step's square overflows, or underflows to 0
+        ("verify", {"contour": {"halfwidth": 1e300, "npoints": 64}}),
+        ("spectrum", {"contour": {"halfwidth": 1e300, "npoints": 64}}),
+        ("verify", {"contour": {"halfwidth": 1e-300, "npoints": 64}}),
+        # the coupling's square, and the angular closed form
+        ("verify", {"model": {"alpha": 1e300}, "contour": {"npoints": 64}}),
+        ("verify", {"model": {"kind": "angular", "ell": 1e300},
+                    "contour": {"npoints": 64}}),
+        # a potential that is not finite: -inf + finite i, inf, nan
+        ("verify", {"model": {"shift": 1e300}, "contour": {"npoints": 64}}),
+        ("spectrum", {"model": {"shift": 1e300},
+                      "contour": {"npoints": 64}}),
+        ("spectrum", {"model": {"kind": "angular", "ell": 1e300},
+                      "contour": {"npoints": 64}}),
+        ("spectrum", {"model": {"kind": "angular", "shift": 1e300},
+                      "contour": {"npoints": 64}})],
+        ids=["verify-halfwidth-1e300", "spectrum-halfwidth-1e300",
+             "verify-halfwidth-1e-300", "verify-alpha-1e300",
+             "verify-ell-1e300", "verify-shift-1e300",
+             "spectrum-shift-1e300", "spectrum-ell-1e300",
+             "spectrum-angular-shift-1e300"])
+    def test_overflowing_config_exits_without_traceback(self, tmp_path,
+                                                        capfd, command, doc):
+        # a numpy warning, which would print to stderr, fails the call;
+        # LAPACK prints its argument errors with C stdio to file
+        # descriptor 1, so capfd reads that once C's buffers are flushed
+        cfg = write_config(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", cfg])
+        ctypes.CDLL(None).fflush(None)
+        captured = capfd.readouterr()
+        assert code in (EXIT_CONFIG, EXIT_SOLVER), captured.err
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ptspec: "), lines
+
     def test_config_file_is_the_only_input(self):
         options = {opt for action in build_parser()._actions
                    for opt in action.option_strings}
@@ -585,7 +625,8 @@ def text_rendering(payload, columns, table, comments, outfmt):
         lines.extend(comments)
         return "\n".join(lines) + "\n"
     payload["columns"] = columns
-    payload["rows"] = [[fnum(x) if not isinstance(x, str) else x
+    payload["rows"] = [[x if isinstance(x, str) else int(x)
+                        if isinstance(x, np.integer) else fnum(x)
                         for x in row] for row in rows]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -826,8 +867,8 @@ class TestScanCommand:
                                                monkeypatch, exc, error):
         numeric_family = ptspec.cli.ptho_numeric_family
 
-        def failing_family(**kwargs):
-            family = numeric_family(**kwargs)
+        def failing_family(*args):
+            family = numeric_family(*args)
 
             def evaluate(alpha):
                 if alpha == 1.5:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -52,24 +53,24 @@ def break_pt(monkeypatch):
 
 class TestContourGeometry:
     def test_straight_gridstep_and_endpoints(self):
-        g = ps.straight_contour(npoints=21, halfwidth=10.0)
+        g = ps.Contour("straight", 10.0, 21)
         t = ps.grid_points(g)
         assert g.gridstep == pytest.approx(1.0)
         assert t[0] == -10.0 and t[-1] == 10.0
         assert np.allclose(np.diff(t), g.gridstep)
 
     def test_periodic_gridstep_and_midpoints(self):
-        g = ps.periodic_contour(npoints=16)
+        g = ps.Contour("periodic", math.pi, 16)
         t = ps.grid_points(g)
         assert g.gridstep == pytest.approx(2 * math.pi / 16)
         assert t[0] == pytest.approx(-math.pi + g.gridstep / 2)
         assert t[-1] == pytest.approx(math.pi - g.gridstep / 2)
 
     @pytest.mark.parametrize("g", [
-        ps.straight_contour(npoints=33, halfwidth=7.0),
-        ps.straight_contour(npoints=34, halfwidth=7.0),
-        ps.periodic_contour(npoints=32),
-        ps.periodic_contour(npoints=33),
+        ps.Contour("straight", 7.0, 33),
+        ps.Contour("straight", 7.0, 34),
+        ps.Contour("periodic", math.pi, 32),
+        ps.Contour("periodic", math.pi, 33),
     ])
     def test_reflection_is_exact(self, g):
         # classification and pt_defect rely on t_j = -t_{N-1-j} with no
@@ -81,11 +82,11 @@ class TestContourGeometry:
         with pytest.raises(ValueError):
             ps.Contour("circle", 1.0, 32)
         with pytest.raises(ValueError):
-            ps.straight_contour(npoints=8)
+            ps.Contour("straight", 12.0, 8)
         with pytest.raises(ValueError):
             ps.Contour("periodic", 1.0, 32)
         with pytest.raises(ValueError):
-            ps.straight_contour(npoints=32, halfwidth=-2.0)
+            ps.Contour("straight", -2.0, 32)
         # the shift belongs to the model, which rejects a negative one
         with pytest.raises(ValueError, match="shift c"):
             ps.PthoParams(alpha=0.5, c=-1.0)
@@ -176,7 +177,7 @@ class TestHamiltonian:
         assert np.array_equal(m, np.conj(m[::-1, ::-1]).T)
 
     def test_dense_square_real(self):
-        g = ps.straight_contour(npoints=32, halfwidth=8.0)
+        g = ps.Contour("straight", 8.0, 32)
         m = real_form(ps.PthoParams(0.5, 1.0), g).toarray()
         assert m.shape == (32, 32) and m.dtype == np.float64
         assert m[0, 1] == -1.0 / g.gridstep ** 2
@@ -240,7 +241,7 @@ class TestHamiltonian:
         # the assembly, the dense solve and the window solve all check
         # first
         break_pt(monkeypatch)
-        g = ps.straight_contour(npoints=4000, halfwidth=8.0)
+        g = ps.Contour("straight", 8.0, 4000)
         for solve in (real_form, ps.solve_spectrum,
                       lambda model, g: ps.solve_lowest(model, g, 8)):
             tracemalloc.start()
@@ -251,6 +252,19 @@ class TestHamiltonian:
             finally:
                 tracemalloc.stop()
             assert peak < 1_000_000
+
+    @pytest.mark.parametrize("model", [
+        ps.PthoParams(1.5, 1e300),                  # -inf + finite i
+        ps.AngularParams(ell=1e300, eps=0.1),       # inf
+        ps.AngularParams(ell=1.0, eps=1e300)])      # nan
+    def test_non_finite_potential_rejected(self, model):
+        # before the PT check, which a nan fails and -inf + finite i
+        # passes, and without a floating-point warning
+        g = ps.contour_for(model, npoints=64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite at 64 of 64"):
+                real_form(model, g)
 
     def test_non_pt_potential_exits_3(self, monkeypatch, tmp_path, capsys):
         break_pt(monkeypatch)
@@ -264,7 +278,7 @@ class TestHamiltonian:
         # A is assembled from its O(N) entries, and no dense matrix is
         # allocated: the dense A alone would take 8 N^2 bytes
         n = 2000
-        g = ps.straight_contour(npoints=n, halfwidth=12.0)
+        g = ps.Contour("straight", 12.0, n)
         tracemalloc.start()
         try:
             a = real_form(ps.PthoParams(1.5, 1.0), g)
@@ -278,7 +292,7 @@ class TestHamiltonian:
         # the dense 5000-point operator would take 200 MB; the assembly,
         # the dense solve and the window solve, whose fallback is dense,
         # share the cap
-        g = ps.straight_contour(npoints=5000, halfwidth=8.0)
+        g = ps.Contour("straight", 8.0, 5000)
         for solve in (real_form, ps.solve_spectrum,
                       lambda model, g: ps.solve_lowest(model, g, 8)):
             tracemalloc.start()
@@ -295,7 +309,7 @@ class TestHamiltonian:
         # periodic second-difference circulant with exact eigenvalues
         # 2(1 - cos(2 pi k / N)) / h^2
         n = 16
-        g = ps.periodic_contour(npoints=n)
+        g = ps.Contour("periodic", math.pi, n)
         m = real_form(ps.AngularParams(ell=0.0, eps=0.1), g).toarray()
         got = np.sort(np.linalg.eigvals(m).real)
         h = g.gridstep
@@ -308,7 +322,7 @@ class TestHamiltonian:
         # exactly for alpha = 1/2)
         def err(npoints):
             model = ps.PthoParams(0.5, 1.0)
-            g = ps.straight_contour(npoints, halfwidth=12.0)
+            g = ps.Contour("straight", 12.0, npoints)
             vals = ps.eig_dense(real_form(model, g))
             return abs(vals[0] - 1.0)
 

@@ -509,7 +509,7 @@ class TestSymmetryBlocks:
     def test_half_grid_blocks_keep_the_size_cap(self):
         # the cap is on the full grid N, though each block has N/2 points
         model = ps.AngularParams(ell=1.0, eps=0.1)
-        g = ps.periodic_contour(npoints=MAX_POINTS + 4)
+        g = ps.Contour("periodic", math.pi, MAX_POINTS + 4)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="cap"):
@@ -957,6 +957,14 @@ class TestCountMissing:
         assert sum(evaluations) <= ptspec.eigen.MAX_LOG_DETS
 
 
+def numeric_family(c, npoints, halfwidth, levels):
+    """ptho_numeric_family on the oscillator with shift c and the straight
+    grid of npoints points on [-halfwidth, halfwidth]."""
+    model = ps.PthoParams(alpha=1.5, c=c)
+    g = ps.contour_for(model, npoints=npoints, halfwidth=halfwidth)
+    return ps.ptho_numeric_family(model, g, levels)
+
+
 def dense_family(c, npoints, halfwidth):
     """The oscillator family from the dense eigvals, with the spurious
     cut of ptho_numeric_family."""
@@ -994,7 +1002,7 @@ class TestNumericFamily:
         # rejected when the family is made: 0 and -1 used to return 41
         # values and 1, and 2.5 reached ARPACK as a float k
         with pytest.raises(ValueError, match="levels"):
-            ps.ptho_numeric_family(npoints=100, levels=levels)
+            numeric_family(1.0, 100, 10.0, levels)
 
     @pytest.mark.parametrize("c,npoints,halfwidth,levels,alphas", [
         (0.7, 200, 8.0, 4, np.linspace(0.55, 2.45, 9)),
@@ -1007,8 +1015,7 @@ class TestNumericFamily:
         # where the crossing levels are conjugate pairs
         dense = dense_family(c, npoints, halfwidth)
         calls = self.count_dense(monkeypatch)
-        family = ps.ptho_numeric_family(c=c, npoints=npoints,
-                                        halfwidth=halfwidth, levels=levels)
+        family = numeric_family(c, npoints, halfwidth, levels)
         for alpha in alphas:
             window = lowest(family(float(alpha)), levels)
             assert len(window) == levels
@@ -1021,8 +1028,7 @@ class TestNumericFamily:
     def test_small_grid_takes_the_dense_path(self, monkeypatch):
         # k = 2 * 8 + 4 = 20 and 2k >= N = 40: the dense eigvals answers
         calls = self.count_dense(monkeypatch)
-        family = ps.ptho_numeric_family(c=1.0, npoints=40, halfwidth=8.0,
-                                        levels=8)
+        family = numeric_family(1.0, 40, 8.0, 8)
         got = family(1.5)
         assert calls == [40]
         assert np.array_equal(got, dense_family(1.0, 40, 8.0)(1.5))
@@ -1039,15 +1045,13 @@ class TestNumericFamily:
             return np.delete(values, np.argmin(values.real))
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", eigs)
         calls = self.count_dense(monkeypatch)
-        family = ps.ptho_numeric_family(c=1.0, npoints=200, halfwidth=8.0,
-                                        levels=4)
+        family = numeric_family(1.0, 200, 8.0, 4)
         got = family(1.5)
         assert ks == [12, 24, 48, 96] and calls == [200]
         assert np.array_equal(got, dense_family(1.0, 200, 8.0)(1.5))
 
     def test_sweep_is_deterministic(self):
-        family = ps.ptho_numeric_family(c=1.6, npoints=200, halfwidth=8.0,
-                                        levels=4)
+        family = numeric_family(1.6, 200, 8.0, 4)
         first = ps.scan_parameter(family, 0.55, 2.45, 9, 4)
         second = ps.scan_parameter(family, 0.55, 2.45, 9, 4)
         for e1, e2 in zip(first.energies, second.energies):

@@ -239,14 +239,6 @@ class TestHypergeomSolution:
         # series is 1 + O(sin^2) at the shifted origin
         assert val == pytest.approx(prefactor, rel=0.05)
 
-    def test_frozen_nonterminating_value(self):
-        # beta = 0.3 does not terminate; series summed at 40 digits
-        p = angular(0.0, eps=0.05)
-        idx = HypergeomIndices(u=0.35, v=0.65, beta=0.3)
-        val = hypergeom_solution(+1, idx, p, 0.7)
-        assert val == pytest.approx(
-            0.6949445067485189 - 0.0489033795648030j, rel=1e-12)
-
     def test_matches_gegenbauer_at_termination(self):
         # the terminating series of index k is a degree-k polynomial in
         # sin^2, i.e. the even Gegenbauer state of degree 2k; it must be
