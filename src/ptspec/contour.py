@@ -44,6 +44,7 @@ real_blocks returns the two blocks, or real_form alone wherever they do
 not exist (the oscillator, odd N, N % 4 == 2).
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,12 +124,17 @@ def potential_value(model, t):
     completing the square is excluded).  Angular:
     ell(ell+1)/sin^2 z + lam(lam+1)/cos^2 z at z = t - i eps.
     A value that overflows is inf or nan without a warning: the assembly
-    reports it once, as an error.
+    reports it once, as an error.  An alpha whose square overflows raises
+    ValueError here.
     """
     shift = model.c if isinstance(model, PthoParams) else model.eps
     z = np.asarray(t, dtype=float) - 1j * shift
     if isinstance(model, PthoParams):
-        strength = model.alpha ** 2 - 0.25
+        try:
+            strength = model.alpha ** 2 - 0.25
+        except OverflowError:
+            raise ValueError(f"potential overflows: alpha^2 at alpha = "
+                             f"{model.alpha:g}") from None
         if strength != 0.0 and np.any(z == 0):
             raise SingularPoint("contour hits the centrifugal pole at x = ic")
         v = z * z
@@ -151,8 +157,8 @@ def real_form(model, g: Contour):
     a scipy.sparse COO array of its O(N) entries in natural grid order;
     entries that meet at one position are summed on conversion.  A
     potential that is not finite or has V[::-1] != conj(V), or a grid
-    above MAX_POINTS, raises ValueError."""
-    _check_size(g)
+    that _check_grid rejects, raises ValueError."""
+    _check_grid(g)
     h = g.gridstep
     corner = STENCIL[1] / h ** 2 if g.kind == "periodic" else None
     return _assemble(potential_value(model, grid_points(g)), h, corner)
@@ -172,16 +178,22 @@ def real_blocks(model, g: Contour):
     if not (isinstance(model, AngularParams) and g.kind == "periodic"
             and n % 4 == 0):
         return [real_form(model, g)]
-    _check_size(g)
+    _check_grid(g)
     h = g.gridstep
     v = potential_value(model, grid_points(g)[n // 4:n // 4 + n // 2])
     return [_assemble(v, h, s * STENCIL[1] / h ** 2) for s in (1.0, -1.0)]
 
 
-def _check_size(g):
+def _check_grid(g):
+    """Reject a grid above MAX_POINTS, or one whose step h has a square
+    outside the normal floats: then 1/h^2 overflows, or h^2 does."""
     if g.npoints > MAX_POINTS:
         raise ValueError(f"npoints {g.npoints} exceeds the dense-solver "
                          f"cap {MAX_POINTS}")
+    h = g.gridstep
+    if not sys.float_info.min <= h * h <= sys.float_info.max:
+        raise ValueError(f"grid step {h:g} is out of range: its square "
+                         f"{'overflows' if h > 1 else 'underflows'}")
 
 
 def _assemble(v, h, corner):

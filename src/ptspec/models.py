@@ -154,7 +154,12 @@ def angular_energy(k, qparity, p: AngularParams):
     _check_angular(p)
     if k < 0:
         raise ValueError("level index must be non-negative")
-    return (k + qparity * p.alpha + 0.5) ** 2
+    try:
+        return (k + qparity * p.alpha + 0.5) ** 2
+    except OverflowError:
+        raise ValueError(f"closed-form level k = {k}, quasi-parity "
+                         f"{qparity:+d}, overflows at ell = {p.ell:g}"
+                         ) from None
 
 
 def angular_wavefunction(k, qparity, p: AngularParams, phi):

@@ -10,6 +10,7 @@ import math
 import os
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,10 +21,12 @@ import ptspec.cli
 from ptspec.cli import (BLOCK_ROWS, DEFAULTS, EXIT_CONFIG, EXIT_OK,
                         EXIT_SOLVER, EXIT_VERIFY_FAIL, MAX_ROWS, MODEL_KEYS,
                         ConfigError, _json_float, _render, _write_rows,
-                        build_parser, fmt, fnum, main, parse_config)
+                        build, build_parser, cmd_wavefunction, fmt, fnum,
+                        main, parse_config)
 from ptspec.exceptions import DomainError
 from ptspec.models import (AngularParams, PthoParams, angular_energy,
-                           ptho_energy, ptho_levels, termination_levels)
+                           angular_wavefunction, ptho_energy, ptho_levels,
+                           ptho_wavefunction, termination_levels)
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -410,30 +413,37 @@ class TestExitCodes:
         assert code == EXIT_SOLVER and captured.out == ""
         assert "solver failed" in captured.err
 
-    @pytest.mark.parametrize("command,doc", [
+    # each error line names what overflowed
+    @pytest.mark.parametrize("command,doc,what", [
         # the grid step's square overflows, or underflows to 0
-        ("verify", {"contour": {"halfwidth": 1e300, "npoints": 64}}),
-        ("spectrum", {"contour": {"halfwidth": 1e300, "npoints": 64}}),
-        ("verify", {"contour": {"halfwidth": 1e-300, "npoints": 64}}),
+        ("verify", {"contour": {"halfwidth": 1e300, "npoints": 64}},
+         "grid step"),
+        ("spectrum", {"contour": {"halfwidth": 1e300, "npoints": 64}},
+         "grid step"),
+        ("verify", {"contour": {"halfwidth": 1e-300, "npoints": 64}},
+         "grid step"),
         # the coupling's square, and the angular closed form
-        ("verify", {"model": {"alpha": 1e300}, "contour": {"npoints": 64}}),
+        ("verify", {"model": {"alpha": 1e300}, "contour": {"npoints": 64}},
+         "potential"),
         ("verify", {"model": {"kind": "angular", "ell": 1e300},
-                    "contour": {"npoints": 64}}),
+                    "contour": {"npoints": 64}}, "closed-form level"),
         # a potential that is not finite: -inf + finite i, inf, nan
-        ("verify", {"model": {"shift": 1e300}, "contour": {"npoints": 64}}),
+        ("verify", {"model": {"shift": 1e300}, "contour": {"npoints": 64}},
+         "potential"),
         ("spectrum", {"model": {"shift": 1e300},
-                      "contour": {"npoints": 64}}),
+                      "contour": {"npoints": 64}}, "potential"),
         ("spectrum", {"model": {"kind": "angular", "ell": 1e300},
-                      "contour": {"npoints": 64}}),
+                      "contour": {"npoints": 64}}, "potential"),
         ("spectrum", {"model": {"kind": "angular", "shift": 1e300},
-                      "contour": {"npoints": 64}})],
+                      "contour": {"npoints": 64}}, "potential")],
         ids=["verify-halfwidth-1e300", "spectrum-halfwidth-1e300",
              "verify-halfwidth-1e-300", "verify-alpha-1e300",
              "verify-ell-1e300", "verify-shift-1e300",
              "spectrum-shift-1e300", "spectrum-ell-1e300",
              "spectrum-angular-shift-1e300"])
     def test_overflowing_config_exits_without_traceback(self, tmp_path,
-                                                        capfd, command, doc):
+                                                        capfd, command, doc,
+                                                        what):
         # a numpy warning, which would print to stderr, fails the call;
         # LAPACK prints its argument errors with C stdio to file
         # descriptor 1, so capfd reads that once C's buffers are flushed
@@ -447,6 +457,7 @@ class TestExitCodes:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("ptspec: "), lines
+        assert what in lines[0], lines
 
     def test_config_file_is_the_only_input(self):
         options = {opt for action in build_parser()._actions
@@ -887,8 +898,90 @@ class TestScanCommand:
         assert doc["failures"] == [{"param": 1.5, "error": error}]
         assert 1.5 not in {row[0] for row in doc["rows"]}
 
+    def test_every_point_failing_exits_3_without_a_table(self, tmp_path,
+                                                         capsys):
+        # the potential is -inf + finite i at every sweep point
+        cfg = write_config(tmp_path, {"model": {"shift": 1e300},
+                                      "contour": {"npoints": 64},
+                                      "scan": {"steps": 3}})
+        out = tmp_path / "scan.csv"
+        for args in ([], ["--out", str(out)]):
+            code = main(["scan", "--config", cfg, *args])
+            captured = capsys.readouterr()
+            assert code == EXIT_SOLVER and captured.out == ""
+            assert captured.err == (
+                "ptspec: solver failed: all 3 sweep points failed, the first"
+                " at param=0.5: ValueError: potential is not finite at 64 of"
+                " 64 grid points\n")
+        assert not out.exists()
+
+    def test_some_points_failing_exit_0_with_a_table(self, tmp_path, capsys,
+                                                     monkeypatch):
+        numeric_family = ptspec.cli.ptho_numeric_family
+
+        def failing_family(*args):
+            family = numeric_family(*args)
+
+            def evaluate(alpha):
+                if alpha > 1.5:
+                    raise RuntimeError("boom")
+                return family(alpha)
+            return evaluate
+        monkeypatch.setattr(ptspec.cli, "ptho_numeric_family",
+                            failing_family)
+        cfg = write_config(tmp_path, SMALL_SCAN)
+        code, out = run(["scan", "--config", cfg], capsys)
+        lines = out.splitlines()
+        assert code == EXIT_OK
+        assert {line.split(",")[0] for line in lines[1:13]} == {
+            "0.55", "1.025", "1.5"}
+        assert lines[-2:] == ["# failed param=1.975: RuntimeError: boom",
+                              "# failed param=2.45: RuntimeError: boom"]
+
 
 class TestWavefunctionCommand:
+    @pytest.mark.parametrize("doc", [
+        {"model": {"kind": "ptho", "alpha": 1.3, "shift": 1.0},
+         "wavefunction": {"index": 2, "qparity": 1}},
+        {"model": {"kind": "ptho", "alpha": 1.3, "shift": 1.0},
+         "wavefunction": {"index": 2, "qparity": -1}},
+        {"model": {"kind": "angular", "ell": 2.0, "shift": 0.2},
+         "wavefunction": {"index": 3, "qparity": 1}},
+        # the renormalized-Gegenbauer branch
+        {"model": {"kind": "angular", "ell": 0.0, "shift": 0.2},
+         "wavefunction": {"index": 1, "qparity": -1}}],
+        ids=["ptho-q+1", "ptho-q-1", "angular-ell2", "angular-degenerate"])
+    def test_blocks_match_one_whole_grid_call(self, doc):
+        # two whole blocks and a one-point tail
+        cfg = parse_config({**doc, "contour": {"npoints": 2 * BLOCK_ROWS + 1}})
+        model, g = build(cfg)
+        _, (t, re, im), *_ = cmd_wavefunction(cfg, model, g)
+        wavefunction = (ptho_wavefunction if isinstance(model, PthoParams)
+                        else angular_wavefunction)
+        whole = wavefunction(cfg["wavefunction"]["index"],
+                             cfg["wavefunction"]["qparity"], model, t)
+        assert re.tobytes() == whole.real.tobytes()
+        assert im.tobytes() == whole.imag.tobytes()
+
+    @pytest.mark.parametrize("doc", [
+        {"wavefunction": {"index": 3, "qparity": -1}},
+        {"model": {"kind": "angular", "ell": 2.0, "shift": 0.2},
+         "wavefunction": {"index": 3}}], ids=["ptho", "angular"])
+    def test_working_set_is_psi_grid_and_one_block(self, doc):
+        # psi (16 N bytes), the grid (8 N) and one block's temporaries;
+        # evaluated on the whole grid at once, the recurrences held 6.5 to
+        # 7.5 complex N-arrays
+        n = 2 ** 18
+        cfg = parse_config({**doc, "contour": {"npoints": n}})
+        model, g = build(cfg)
+        tracemalloc.start()
+        try:
+            cmd_wavefunction(cfg, model, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 16 * n, peak / (16 * n)
+
     @pytest.mark.parametrize("doc", [
         # the Laguerre recurrence overflows at index 400 on a wide grid
         {"contour": {"npoints": 401, "halfwidth": 40.0},
