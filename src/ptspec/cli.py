@@ -14,11 +14,12 @@ number of threads: at N=800, ``spectrum`` prints 140 of 800 rows
 differently with one thread than with two; its eigenvalues move by up
 to 3.1e-8 relative, and no label changes.
 
-A command's table is written in blocks of BLOCK_ROWS rows, never held as
-text whole.  A block is one %-format: a row template of per-column specs
-(``%.12g`` for a float, ``%d`` for an int, ``%s`` for a string), repeated
-for every row and applied once to the block's cells in row order.  A
-string cell is always a value, never template text.
+A command's table is one ndarray per column, written in blocks of
+BLOCK_ROWS rows, never held as text whole.  A block is one %-format: a
+row template of per-column specs (``%.12g`` for a float dtype, ``%d`` for
+an int, ``%s`` for any other, the strings), repeated for every row and
+applied once to the block's cells in row order.  A string cell is always
+a value, never template text.
 
 ``wavefunction`` evaluates psi in the same blocks, into one complex array
 that is whole, and checked finite, before any row is written.  Its
@@ -30,19 +31,19 @@ whole-grid evaluation rose 104.6 MB (angular, k = 3) to 121.8 MB
 
 A CSV float cell is ``"%.12g" % x`` (``nan``, ``inf``, ``-inf`` when not
 finite); an int is its decimal digits and a string is written as is.
-A JSON float is the shortest repr of the float that CSV cell reads as,
-so both formats carry the same numeric payload; non-finite values are
-``NaN``, ``Infinity`` and ``-Infinity``.  A JSON string is escaped as by
-``json.dumps``.  The JSON document is ``json.dumps(..., indent=2,
-sort_keys=True)`` of the payload with its ``rows`` key last.
+A JSON float is ``repr(float(cell))`` of that CSV cell, the shortest repr
+of the float it reads as, so both formats carry the same numeric payload;
+non-finite values are ``NaN``, ``Infinity`` and ``-Infinity``.  A JSON
+string is escaped as by ``json.dumps``.  The JSON document is
+``json.dumps(..., indent=2, sort_keys=True)`` of the payload with its
+``rows`` key last.
 
-A JSON float is spelled from its CSV cell.  Distinct decimals of at most
-15 significant digits read as distinct doubles in the normal range
-(DBL_DIG = 15), so no shorter decimal reads as the float a 12-digit cell
-does, and that float's repr has the cell's digits.  Where it also has the
-cell's notation, the cell is the token as it stands: a positional cell
-with a ``.``, or one with a two-digit negative exponent.  Every other cell
-is spelled ``repr(float(cell))``: an integer-like cell needs ``.0``, repr
+Distinct decimals of at most 15 significant digits read as distinct
+doubles in the normal range (DBL_DIG = 15), so no shorter decimal reads as
+the float a 12-digit cell does, and that float's repr has the cell's
+digits.  Where it also has the cell's notation, the repr is the cell as it
+stands: a positional cell with a ``.``, or one with a two-digit negative
+exponent.  Elsewhere it differs: an integer-like cell needs ``.0``, repr
 writes 1e12 to 1e16 positionally, and a three-digit negative exponent may
 be a subnormal, which holds fewer than 15 digits (the cell
 ``4.94065645841e-324`` reads as ``5e-324``).
@@ -50,15 +51,15 @@ be a subnormal, which holds fewer than 15 digits (the cell
 So only a cell of a float x that is not finite, has |x| >= 1e11 (a
 12-digit integer) or |x| < 1e-98 (a three-digit exponent), or lies within
 1e-10 |x| of an integer (a cell with no ``.``) can need re-spelling.
-numpy finds these cells in each block; each one gets the rule above, and
-its token takes a ``%s`` in its row's template.
+numpy finds these candidate cells in each block; only they are spelled by
+the rule above, under a ``%s`` in their row's template.
 
 Exit codes: 0 success, 2 input rejected before any numerics (bad config,
-unsupported model regime, a grid above the command's cap, an --out path
-that cannot be written), 3 the numerics failed (among them a wavefunction
-that is not finite at some grid point, a parameter or potential that
-overflows, and a scan whose every sweep point failed), 4 verification
-FAIL.
+unsupported model regime, a grid above the command's cap, a wavefunction
+index at or above contour.npoints, an --out path that cannot be written),
+3 the numerics failed (among them a wavefunction that is not finite at
+some grid point, a parameter or potential that overflows, and a scan
+whose every sweep point failed), 4 verification FAIL.
 """
 
 import argparse
@@ -171,6 +172,9 @@ def _check_bounds(cfg):
             (sc["lo"] > 0, "scan.lo must be positive"),
             (sc["lo"] < sc["hi"], "scan.lo must be below scan.hi"),
             (wf["index"] >= 0, "wavefunction.index must be non-negative"),
+            (wf["index"] < npoints,
+             f"wavefunction.index must be below contour.npoints ({npoints}):"
+             " the grid has no more levels"),
             (wf["qparity"] in (1, -1),
              "wavefunction.qparity must be +1 or -1"),
             (min(tol.values()) >= 0,
@@ -238,11 +242,8 @@ def load_config(path):
 
 
 def _json_float(cell):
-    """The JSON token of the float whose CSV cell is `cell`.  A positional
-    cell with a ``.``, or one with a two-digit negative exponent, is
-    already the repr of the float it reads as (see the module docstring)."""
-    if "." in cell and "e" not in cell or cell[-4:-2] == "e-":
-        return cell
+    """The JSON token of the float whose CSV cell is `cell`: the repr of
+    the float it reads as, or the JSON name of a non-finite value."""
     return _JSON_NONFINITE.get(cell) or repr(float(cell))
 
 
@@ -250,7 +251,8 @@ def _respell_candidates(x):
     """Indices of the float cells whose JSON token may differ from their
     CSV cell: x outside [1e-98, 1e11), or within 1e-10 |x| of an integer.
     Every other cell is positional with a ``.`` or has a two-digit
-    negative exponent, so _json_float keeps it."""
+    negative exponent, which is already the repr of the float it reads
+    as (see the module docstring)."""
     ax = np.abs(x)
     with np.errstate(invalid="ignore"):
         near_int = np.abs(x - np.rint(x)) <= 1e-10 * ax
@@ -259,15 +261,14 @@ def _respell_candidates(x):
 
 
 def _write_rows(fh, table, outfmt, cell_sep, row_sep):
-    """Write the rows of `table`, given as columns (an int or float ndarray,
-    or a list of strings), in blocks of BLOCK_ROWS rows; cells are joined by
-    `cell_sep` and rows by `row_sep`.  A block is one %-format: the row
-    template, repeated for every row, applied to the block's cells in row
-    order.  A JSON float cell that may need re-spelling enters as its
-    _json_float token, under a ``%s`` in its row's template."""
+    """Write the rows of `table`, given as ndarray columns, in blocks of
+    BLOCK_ROWS rows; cells are joined by `cell_sep` and rows by `row_sep`.
+    A block is one %-format: the row template, repeated for every row,
+    applied to the block's cells in row order.  A column of a dtype kind
+    not in _CELL_SPECS takes ``%s`` and, in JSON, json.dumps; a JSON float
+    cell that may need re-spelling enters as its _json_float token."""
     ncols, nrows = len(table), len(table[0])
-    specs = [_CELL_SPECS[column.dtype.kind]
-             if isinstance(column, np.ndarray) else "%s" for column in table]
+    specs = [_CELL_SPECS.get(column.dtype.kind, "%s") for column in table]
     template = cell_sep.join(specs)
     for start in range(0, nrows, BLOCK_ROWS):
         block = [column[start:start + BLOCK_ROWS] for column in table]
@@ -275,11 +276,9 @@ def _write_rows(fh, table, outfmt, cell_sep, row_sep):
         cells = [None] * (len(rows) * ncols)
         respelled = {}
         for j, column in enumerate(block):
-            if not isinstance(column, np.ndarray):
-                cells[j::ncols] = (column if outfmt == "csv"
-                                   else map(json.dumps, column))
-                continue
-            cells[j::ncols] = column.tolist()
+            escape = outfmt == "json" and specs[j] == "%s"
+            cells[j::ncols] = (map(json.dumps, column.tolist()) if escape
+                               else column.tolist())
             if outfmt == "json" and column.dtype.kind == "f":
                 for i in _respell_candidates(column).tolist():
                     k = i * ncols + j
@@ -293,7 +292,7 @@ def _write_rows(fh, table, outfmt, cell_sep, row_sep):
 
 
 def _render(payload, columns, table, comments, out, outfmt):
-    """Write one result table, given as one array or list per column, as
+    """Write one result table, given as one ndarray per column, as
     CSV (with # comment trailer) or JSON, to the file or stdout."""
     nrows = len(table[0])
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
@@ -317,14 +316,13 @@ def _render(payload, columns, table, comments, out, outfmt):
 
 
 # Each command returns (column names, table, comments, extra payload, exit
-# code).  The table is one column per name: an int or float ndarray, or a
-# list of strings.
+# code).  The table is one ndarray column per name.
 
 def cmd_spectrum(cfg, model, g):
     result = solve_spectrum(model, g, reality_tol=cfg["tolerances"]["reality"])
     ev = result.eigenvalues
     table = [np.arange(len(ev)), ev.real, ev.imag,
-             list(result.classifications), np.asarray(result.pt_defects)]
+             np.array(result.classifications), np.asarray(result.pt_defects)]
     return (["index", "re_e", "im_e", "class", "pt_defect"], table, [], {},
             EXIT_OK)
 
@@ -362,14 +360,11 @@ def cmd_scan(cfg, model, g):
         p, msg = scan.failures[0]
         raise ValueError(f"all {sc['steps']} sweep points failed, the first "
                          f"at param={fmt(p)}: {msg}")
-    params, index, energies = [], [], []
-    for p, evs in zip(scan.params, scan.energies):
-        if evs is not None:
-            params += [p] * len(evs)
-            index += range(len(evs))
-            energies += list(evs)
-    energies = np.array(energies, dtype=complex)
-    table = [np.array(params, dtype=float), np.array(index, dtype=int),
+    # the rows of the solved points, each param repeated once per level
+    solved = np.isfinite(scan.energies).all(axis=1)
+    energies = scan.energies[solved].ravel()
+    table = [np.repeat(scan.params[solved], sc["levels"]),
+             np.tile(np.arange(sc["levels"]), np.count_nonzero(solved)),
              energies.real, energies.imag]
     comments = [f"# crossing param={fmt(c.param)} "
                 f"levels={c.pair[0]},{c.pair[1]} gap={fmt(c.gap)}"

@@ -489,8 +489,9 @@ class Crossing:
 
 @dataclass
 class ScanResult:
+    """energies is (steps, levels) complex, a NaN row at each failure."""
     params: np.ndarray
-    energies: list                      # one array of retained levels per param
+    energies: np.ndarray
     crossings: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
@@ -501,9 +502,11 @@ def scan_parameter(spectrum_fn, lo, hi, steps, levels,
 
     spectrum_fn(param) must return the retained low-lying eigenvalues
     (complex, enough of them to cover `levels`).  It is called exactly
-    once per sweep point and nowhere else.  A family evaluation that
-    raises is recorded as a failure, (param, "ExceptionType: message"),
-    and its grid point skipped.
+    once per sweep point and nowhere else.  Its lowest `levels` values by
+    (Re, Im) fill the point's row of ScanResult.energies, a (steps,
+    levels) complex array.  An evaluation that raises or returns a value
+    that is not finite is recorded as a failure, (param, "ExceptionType:
+    message"), and its row is NaN: a NaN row means exactly a failure.
 
     Two levels that cross linearly have an adjacent gap shaped like a V,
     g(p) = g* + s |p - p*|.  At each local minimum of a pair's sampled
@@ -521,25 +524,27 @@ def scan_parameter(spectrum_fn, lo, hi, steps, levels,
         raise ValueError(f"lo must be below hi, got lo={lo}, hi={hi}")
     params = np.linspace(lo, hi, steps)
     step = params[1] - params[0]
-    energies, failures = [], []
-    for p in params:
+    energies = np.full((steps, levels), np.nan, dtype=complex)
+    failures = []
+    for p, row in zip(params, energies):
         try:
             vals = np.asarray(spectrum_fn(float(p)), dtype=complex)
-            vals = vals[_sort_order(vals)]
+            bad = np.count_nonzero(~np.isfinite(vals))
+            if bad:
+                raise FloatingPointError(
+                    f"{bad} of {len(vals)} family values are not finite")
             if len(vals) < levels:
                 raise InsufficientLevels(
                     f"family produced {len(vals)} levels, need {levels}")
-            energies.append(vals[:levels])
-        except Exception as exc:        # record and skip the bad point
-            energies.append(None)
+            row[:] = vals[_sort_order(vals)][:levels]
+        except Exception as exc:        # record the bad point; its row is NaN
             failures.append((float(p), type(exc).__name__
                              + (f": {exc}" if str(exc) else "")))
 
+    gaps = np.abs(np.diff(energies, axis=1))    # NaN at a failed point
     crossings = []
     for i in range(levels - 1):
-        gaps = np.array([abs(e[i + 1] - e[i]) if e is not None else np.nan
-                         for e in energies])
-        padded = np.pad(gaps, 2, constant_values=np.nan)
+        padded = np.pad(gaps[:, i], 2, constant_values=np.nan)
         for j, p in enumerate(params):
             # a missing neighbour is NaN, which no comparison holds for
             far_left, left, mid, right, far_right = padded[j:j + 5]

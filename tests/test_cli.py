@@ -21,8 +21,8 @@ import ptspec.cli
 from ptspec.cli import (BLOCK_ROWS, DEFAULTS, EXIT_CONFIG, EXIT_OK,
                         EXIT_SOLVER, EXIT_VERIFY_FAIL, MAX_ROWS, MODEL_KEYS,
                         ConfigError, _json_float, _render, _write_rows,
-                        build, build_parser, cmd_wavefunction, fmt, fnum,
-                        main, parse_config)
+                        build, build_parser, cmd_scan, cmd_wavefunction,
+                        fmt, fnum, main, parse_config)
 from ptspec.exceptions import DomainError
 from ptspec.models import (AngularParams, PthoParams, angular_energy,
                            angular_wavefunction, ptho_energy, ptho_levels,
@@ -157,9 +157,12 @@ def valid_docs(draw):
     if steps * levels > MAX_ROWS:
         scan["levels"] = min(levels, MAX_ROWS // 2)
         scan["steps"] = MAX_ROWS // scan["levels"]
-    # verify.count and scan.levels may not exceed contour.npoints
-    need = max(doc.get(name, {}).get(key, DEFAULTS[name][key])
-               for name, key in (("verify", "count"), ("scan", "levels")))
+    # verify.count and scan.levels may not exceed contour.npoints, and
+    # wavefunction.index lies below it
+    need = max(doc.get(name, {}).get(key, DEFAULTS[name][key]) + above
+               for name, key, above in (("verify", "count", 0),
+                                        ("scan", "levels", 0),
+                                        ("wavefunction", "index", 1)))
     contour = doc.get("contour", {})
     if contour.get("npoints", DEFAULTS["contour"]["npoints"]) < need:
         doc["contour"] = dict(contour, npoints=need)
@@ -292,6 +295,8 @@ class TestExitCodes:
         ("verify", {"contour": {"npoints": 40}, "verify": {"count": 41}}),
         ("verify", {"model": {"kind": "angular"}, "contour": {"npoints": 16},
                     "verify": {"count": 17}}),
+        ("wavefunction", {"contour": {"npoints": 64},
+                          "wavefunction": {"index": 64}}),
     ], ids=["lo-above-hi", "lo-equals-hi", "levels-0", "steps-1",
             "steps-oversize", "lo-negative", "lo-zero",
             "match-negative", "reality-negative", "spurious-factor-unknown",
@@ -299,7 +304,7 @@ class TestExitCodes:
             "angular-with-alpha", "angular-with-halfwidth",
             "kind-not-a-string", "shift-negative-at-half-alpha",
             "levels-above-npoints", "count-above-npoints",
-            "count-above-npoints-angular"])
+            "count-above-npoints-angular", "index-at-npoints"])
     def test_out_of_range_exits_2(self, tmp_path, capsys, command, doc):
         code, out = run([command, "--config", write_config(tmp_path, doc)],
                         capsys)
@@ -678,7 +683,9 @@ COLUMN_KINDS = {
         lambda v: np.array(v, dtype=np.int64)),
     "float": lambda n: st.lists(FLOATS, min_size=n, max_size=n).map(
         lambda v: np.array(v, dtype=float)),
-    "str": lambda n: st.lists(TEXT, min_size=n, max_size=n),
+    # object dtype: a numpy string dtype drops trailing NULs
+    "str": lambda n: st.lists(TEXT, min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=object)),
 }
 
 
@@ -763,8 +770,9 @@ class TestRendering:
     @pytest.mark.parametrize("outfmt", ["csv", "json"])
     def test_block_boundaries(self, tmp_path, nrows, outfmt):
         values = np.linspace(-3.0, 3.0, nrows) ** 7
-        table = [np.arange(nrows), values, ["real", "pair"] * (nrows // 2)
-                 + ["real"] * (nrows % 2)]
+        table = [np.arange(nrows), values,
+                 np.array(["real", "pair"] * (nrows // 2)
+                          + ["real"] * (nrows % 2), dtype=str)]
         expected = text_rendering(copy.deepcopy(PAYLOAD), ["i", "x", "c"],
                                   table, ["# done"], outfmt)
         assert rendered(PAYLOAD, ["i", "x", "c"], table, ["# done"], outfmt,
@@ -779,7 +787,7 @@ class TestRendering:
         # values outside [1e-98, 1e11)); rows with one, two and three
         # re-spelled cells
         table = [
-            ["%s", "%%", "100%", "%d%", "%(x)s", "%.12g"],
+            np.array(["%s", "%%", "100%", "%d%", "%(x)s", "%.12g"]),
             np.array([0.0, -0.0, 3.0, -7.0, 1e12, 5e-324]),
             np.array([1.0, 2.5, -0.0, 1e20, 0.125, math.nan]),
             np.array([-math.inf, 0.5, 4.0, 1e-5, 2.0, 0.0]),
@@ -938,6 +946,35 @@ class TestScanCommand:
         assert lines[-2:] == ["# failed param=1.975: RuntimeError: boom",
                               "# failed param=2.45: RuntimeError: boom"]
 
+    def test_table_is_the_solved_rows_flattened(self, monkeypatch):
+        # the first point raises and the fourth returns a NaN level: the
+        # table holds the other three rows, each param once per level
+        params = np.linspace(0.55, 2.45, 5)
+
+        def family(model, g, levels):
+            def evaluate(alpha):
+                if alpha == params[0]:
+                    raise RuntimeError("boom")
+                values = alpha + np.arange(levels + 1) * (1 + 0.25j)
+                if alpha == params[3]:
+                    values[1] = math.nan
+                return values
+            return evaluate
+        monkeypatch.setattr(ptspec.cli, "ptho_numeric_family", family)
+        cfg = parse_config(SMALL_SCAN)
+        columns, table, comments, _, code = cmd_scan(cfg, *build(cfg))
+        evaluate = family(None, None, 4)
+        expected = [(p, i, e.real, e.imag) for p in params[[1, 2, 4]].tolist()
+                    for i, e in enumerate(evaluate(p)[:4])]
+        assert code == EXIT_OK
+        assert columns == ["param", "index", "re_e", "im_e"]
+        assert [column.dtype.kind for column in table] == ["f", "i", "f", "f"]
+        assert list(zip(*(column.tolist() for column in table))) == expected
+        assert comments == [
+            "# failed param=0.55: RuntimeError: boom",
+            "# failed param=1.975: FloatingPointError: 1 of 5 family values"
+            " are not finite"]
+
 
 class TestWavefunctionCommand:
     @pytest.mark.parametrize("doc", [
@@ -989,7 +1026,7 @@ class TestWavefunctionCommand:
         # and the Gegenbauer one far up the ladder of a strongly shifted
         # circle
         {"model": {"kind": "angular", "ell": 1.0, "shift": 3.0},
-         "contour": {"npoints": 64}, "wavefunction": {"index": 1000}}])
+         "contour": {"npoints": 1024}, "wavefunction": {"index": 1000}}])
     def test_non_finite_wavefunction_exits_3(self, tmp_path, capsys, doc):
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "wf.csv"
@@ -1000,6 +1037,21 @@ class TestWavefunctionCommand:
             assert captured.err.count("\n") == 1
             assert "wavefunction is not finite" in captured.err
         assert not out.exists()
+
+    def test_index_beyond_the_grid_exits_2_before_any_numerics(
+            self, tmp_path, capsys, monkeypatch):
+        # the recurrences would run 10^5 steps per block before failing
+        def never(*args):
+            raise AssertionError("wavefunction evaluated")
+        monkeypatch.setattr(ptspec.cli, "ptho_wavefunction", never)
+        cfg = write_config(tmp_path, {"contour": {"npoints": 64},
+                                      "wavefunction": {"index": 100000}})
+        code = main(["wavefunction", "--config", cfg])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG and captured.out == ""
+        assert captured.err == (
+            "ptspec: configuration error: wavefunction.index must be below"
+            " contour.npoints (64): the grid has no more levels\n")
 
     def test_pt_symmetric_profile(self, tmp_path, capsys):
         # n = 1, quasi-odd branch, alpha = 3/2: Re even, Im odd in t

@@ -285,10 +285,29 @@ class TestScan:
             return np.arange(6, dtype=complex)
 
         scan = ps.scan_parameter(family, 0.0, 1.0, 6, 6)
-        assert sum(e is None for e in scan.energies) == 2
+        assert np.count_nonzero(np.isnan(scan.energies).all(axis=1)) == 2
         assert scan.failures == [(0.8, "RuntimeError: boom"),
                                  (1.0, "RuntimeError: boom")]
         assert scan.crossings == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf,
+                                     complex(1.0, -math.inf)])
+    def test_non_finite_family_values_fail_their_points(self, bad):
+        # one non-finite value fails its point, also one above the
+        # retained levels; every other row holds the sorted levels
+        def family(p):
+            values = np.arange(8, dtype=complex)
+            if p > 0.65:
+                values[2 if p < 0.9 else 7] = bad
+            return values
+
+        scan = ps.scan_parameter(family, 0.0, 1.0, 6, 6)
+        error = "FloatingPointError: 1 of 8 family values are not finite"
+        assert scan.failures == [(0.8, error), (1.0, error)]
+        assert scan.energies.shape == (6, 6)
+        assert np.isnan(scan.energies[4:]).all()
+        assert np.array_equal(scan.energies[:4],
+                              np.tile(np.arange(6, dtype=complex), (4, 1)))
 
     def test_insufficient_family_levels(self):
         scan = ps.scan_parameter(lambda p: np.arange(3, dtype=complex),
