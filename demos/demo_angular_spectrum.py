@@ -35,7 +35,7 @@ def main():
     # tolerance is widened accordingly
     result = ps.solve_spectrum(model, contour, reality_tol=1e-4)
     numeric = np.sort(result.real_values())[:args.count]
-    analytic = [lv.energy for lv in ps.termination_levels(model, args.count)]
+    analytic = ps.termination_levels(model, args.count)
 
     print(f"\n{'numeric':>14} {'closed form':>12} {'abs err':>10}")
     for num, ana in zip(numeric, analytic):

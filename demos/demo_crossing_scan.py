@@ -27,8 +27,9 @@ def main():
     args = ap.parse_args()
 
     print("exact ladder: crossings at every integer alpha")
-    analytic = ps.scan_parameter(ps.ptho_analytic_family(),
-                                 args.lo, args.hi, args.steps, 6)
+    analytic = ps.scan_parameter(
+        lambda alpha: ps.ptho_levels(ps.PthoParams(alpha, 1.0), 6),
+        args.lo, args.hi, args.steps, 6)
     print("  closed-form scan finds:",
           [f"{p:.4f}" for p in ps.crossing_params(analytic)])
 

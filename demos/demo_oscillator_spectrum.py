@@ -32,14 +32,14 @@ def main():
 
     result = ps.solve_spectrum(model, contour)
     numeric = np.sort(result.real_values())[:args.count]
-    analytic = [lv.energy for lv in ps.ptho_levels(model, args.count)]
+    analytic = ps.ptho_levels(model, args.count)
 
     print(f"\n{'numeric':>14} {'closed form':>12} {'abs err':>10}")
     for num, ana in zip(numeric, analytic):
         print(f"{num:14.8f} {ana:12.4f} {abs(num - ana):10.2e}")
 
     counts = {}
-    for label in result.classifications:
+    for label in result.classifications.tolist():
         counts[label] = counts.get(label, 0) + 1
     print(f"\nclassification counts: {counts}")
     print("the low-lying spectrum is entirely real for any alpha > 0 -- "

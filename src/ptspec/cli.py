@@ -321,8 +321,8 @@ def _render(payload, columns, table, comments, out, outfmt):
 def cmd_spectrum(cfg, model, g):
     result = solve_spectrum(model, g, reality_tol=cfg["tolerances"]["reality"])
     ev = result.eigenvalues
-    table = [np.arange(len(ev)), ev.real, ev.imag,
-             np.array(result.classifications), np.asarray(result.pt_defects)]
+    table = [np.arange(len(ev)), ev.real, ev.imag, result.classifications,
+             result.pt_defects]
     return (["index", "re_e", "im_e", "class", "pt_defect"], table, [], {},
             EXIT_OK)
 

@@ -32,7 +32,7 @@ import scipy.sparse.linalg
 from .contour import (STENCIL, folded_band, folded_order, real_blocks,
                       real_form)
 from .exceptions import InsufficientLevels, NonConvergence
-from .models import PthoParams, ptho_levels, require_count
+from .models import require_count
 
 REAL = "real"
 PAIR = "pair"
@@ -57,13 +57,12 @@ class SpectrumResult:
     """Eigenvalues sorted by (Re, Im), with per-value classification and
     PT defect where they were computed."""
     eigenvalues: np.ndarray
-    classifications: list
+    classifications: np.ndarray
     pt_defects: np.ndarray = None
 
     def real_values(self):
         """Retained real eigenvalues (classification 'real'), ascending."""
-        mask = np.array([c == REAL for c in self.classifications], bool)
-        return self.eigenvalues[mask].real
+        return self.eigenvalues[self.classifications == REAL].real
 
 
 def _sort_order(values):
@@ -111,7 +110,7 @@ def classify_spectrum(values, reality_tol=DEFAULT_REALITY_TOL,
             f"{np.count_nonzero(unmatched)} non-real eigenvalues have no "
             f"exact conjugate partner, first {pairs[unmatched][0]}")
     labels = np.where(spurious, SPURIOUS, np.where(real, REAL, PAIR))
-    return SpectrumResult(eigenvalues=values, classifications=labels.tolist())
+    return SpectrumResult(eigenvalues=values, classifications=labels)
 
 
 def pt_defect(v):
@@ -462,19 +461,19 @@ def _log_det(band, z):
     return out
 
 
-def match_spectra(numeric: SpectrumResult, analytic_levels, count):
+def match_spectra(numeric: SpectrumResult, analytic, count):
     """The lowest min(count, available) numeric real eigenvalues beside
-    the sorted closed-form multiset: four float arrays (numeric, analytic,
-    abs_err, rel_err).  abs_err = |numeric - analytic| and rel_err =
-    abs_err / max(1, |analytic|), so zero-energy levels stay meaningful.
-    Fewer than `count` closed-form levels raises InsufficientLevels."""
+    the lowest of the closed-form energies `analytic`, an array: four
+    float arrays (numeric, analytic, abs_err, rel_err).  abs_err =
+    |numeric - analytic| and rel_err = abs_err / max(1, |analytic|), so
+    zero-energy levels stay meaningful.  Fewer than `count` closed-form
+    energies raises InsufficientLevels."""
     require_count("count", count, 1)
-    energies = np.sort([lv.energy for lv in analytic_levels])
-    if len(energies) < count:
+    if len(analytic) < count:
         raise InsufficientLevels(
-            f"only {len(energies)} analytic levels supplied, need {count}")
+            f"only {len(analytic)} analytic levels supplied, need {count}")
     real = np.sort(numeric.real_values())[:count]
-    analytic = energies[:len(real)]
+    analytic = np.sort(analytic)[:len(real)]
     abs_err = np.abs(real - analytic)
     rel_err = abs_err / np.maximum(1.0, np.abs(analytic))
     return real, analytic, abs_err, rel_err
@@ -579,16 +578,6 @@ def crossing_params(scan: ScanResult):
         else:
             out[-1] = 0.5 * (out[-1] + c.param)
     return out
-
-
-def ptho_analytic_family():
-    """Closed-form oscillator family for scans: alpha -> the lowest 18
-    exact energies (the shift c leaves them unchanged)."""
-    def spectrum(alpha):
-        return np.array([lv.energy for lv in
-                         ptho_levels(PthoParams(alpha=alpha, c=1.0), 18)],
-                        dtype=complex)
-    return spectrum
 
 
 def ptho_numeric_family(model, contour, levels):

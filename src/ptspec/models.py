@@ -14,8 +14,9 @@ The +/- label is the quasi-parity of the branch.  Wavefunctions are
 returned unnormalized (overall constant fixed to 1): every consumer in
 this package compares normalization-insensitive quantities only.
 
-ptho_levels and termination_levels give a model's lowest `count` levels,
-sorted by energy, in O(count) work for any alpha or ell.
+ptho_levels and termination_levels return a model's lowest `count`
+energies as one sorted float64 array, in O(count) work for any alpha or
+ell.
 """
 
 import math
@@ -89,14 +90,6 @@ class AngularParams:
         return self.ell + 0.5
 
 
-@dataclass(frozen=True)
-class AnalyticLevel:
-    """One closed-form level: polynomial index, quasi-parity sign, energy."""
-    index: int
-    qparity: int
-    energy: float
-
-
 def _check_sign(qparity):
     if qparity not in (+1, -1):
         raise ValueError("qparity must be +1 or -1")
@@ -131,18 +124,16 @@ def ptho_wavefunction(n, qparity, p: PthoParams, x):
 
 
 def _lowest(p, energy, ladders, count):
-    """The lowest `count` levels of the (qparity, index range) ladders,
-    sorted by energy."""
-    levels = [AnalyticLevel(index=n, qparity=s, energy=energy(n, s, p))
-              for s, indices in ladders for n in indices]
-    levels.sort(key=lambda lv: lv.energy)
-    return levels[:count]
+    """The lowest `count` energies of the (qparity, index range) ladders,
+    sorted: a float64 array."""
+    return np.sort([energy(n, s, p)
+                    for s, indices in ladders for n in indices])[:count]
 
 
 def ptho_levels(p: PthoParams, count):
-    """The lowest `count` oscillator levels, sorted by energy.  Both
-    ladders 4n + 2 +/- 2 alpha rise with n, so n < count: O(count) work
-    for any alpha."""
+    """The lowest `count` oscillator energies, sorted.  Both ladders
+    4n + 2 +/- 2 alpha rise with n, so n < count: O(count) work for any
+    alpha."""
     require_count("count", count, 0)
     return _lowest(p, ptho_energy, [(-1, range(count)), (+1, range(count))],
                    count)
@@ -184,8 +175,8 @@ def angular_wavefunction(k, qparity, p: AngularParams, phi):
 
 
 def termination_levels(p: AngularParams, count):
-    """The lowest `count` angular levels, sorted by energy.  The plus
-    ladder (k + ell + 1)^2 rises with k, so k < count; the minus ladder
+    """The lowest `count` angular energies, sorted.  The plus ladder
+    (k + ell + 1)^2 rises with k, so k < count; the minus ladder
     (k - ell)^2 is lowest at k = ell, so |k - ell| <= count.  O(count)
     work for any ell."""
     _check_angular(p)

@@ -1,8 +1,9 @@
 """Every public name the demos and the README use exists in ptspec.
 
-The name scan is textual; the crossing-scan demo is also run, small, and
-the angular-spectrum demo at its defaults."""
+The name scan is textual; the crossing-scan and oscillator-spectrum demos
+are also run, small, and the angular-spectrum demo at its defaults."""
 
+import ast
 import os
 import re
 import subprocess
@@ -63,3 +64,14 @@ def test_angular_spectrum_demo_matches_closed_form():
     assert [float(ana) for _, ana, _ in rows] == [0, 1, 1, 4, 4, 9, 9]
     assert all(float(err) <= 5e-3 for _, _, err in rows), proc.stdout
     assert "splitting of the exact degeneracies" in proc.stdout
+
+
+def test_oscillator_demo_counts_plain_labels():
+    # the counts line is a dict literal of plain str keys: a numpy string
+    # key would print as np.str_('real')
+    proc = run_demo("demo_oscillator_spectrum.py", "--npoints", "300")
+    line, = re.findall(r"^classification counts: (.*)$", proc.stdout, re.M)
+    counts = ast.literal_eval(line)
+    assert set(counts) <= {"real", "pair", "spurious"} and "real" in counts
+    assert all(type(key) is str for key in counts), line
+    assert sum(counts.values()) == 300

@@ -408,15 +408,20 @@ class TestExitCodes:
         assert code == EXIT_OK and out == ""
         assert (tmp_path / "wf.csv").read_text().startswith("t,re_psi")
 
-    def test_solver_error_exits_3(self, tmp_path, capsys, monkeypatch):
+    # any ArithmeticError, not only numpy's FloatingPointError
+    @pytest.mark.parametrize("error", [DomainError, OverflowError,
+                                       ZeroDivisionError],
+                             ids=lambda error: error.__name__)
+    def test_solver_error_exits_3(self, tmp_path, capsys, monkeypatch,
+                                  error):
         def fail(*args, **kwargs):
-            raise DomainError("outside the domain")
+            raise error("outside the domain")
         monkeypatch.setattr(ptspec.cli, "solve_spectrum", fail)
         cfg = write_config(tmp_path, SMALL_PTHO)
         code = main(["spectrum", "--config", cfg])
         captured = capsys.readouterr()
         assert code == EXIT_SOLVER and captured.out == ""
-        assert "solver failed" in captured.err
+        assert captured.err == "ptspec: solver failed: outside the domain\n"
 
     # each error line names what overflowed
     @pytest.mark.parametrize("command,doc,what", [
@@ -580,7 +585,7 @@ class TestVerifyCommand:
         AngularParams(ell=0.0, eps=0.1), AngularParams(ell=1.0, eps=0.1),
         AngularParams(ell=2.0, eps=0.1), AngularParams(ell=5.0, eps=0.1),
         AngularParams(ell=12.0, eps=0.1)])
-    @pytest.mark.parametrize("count", [1, 3, 8])
+    @pytest.mark.parametrize("count", [0, 1, 3, 8])
     def test_analytic_levels_hold_the_lowest(self, model, count):
         # the lowest energies of both whole ladders, taken deep enough
         depth = count + int(model.alpha) + 2
@@ -588,8 +593,10 @@ class TestVerifyCommand:
                   else angular_energy)
         lowest = np.sort([energy(n, s, model) for n in range(depth + 1)
                           for s in (-1, +1)])[:count]
-        got = [lv.energy for lv in self.verify_levels(model, count)]
-        assert got == lowest.tolist()
+        got = self.verify_levels(model, count)
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.shape == (count,)
+        assert got.tolist() == lowest.tolist()
 
     @pytest.mark.parametrize("model,lowest", [
         (PthoParams(1e9, 1.0), [4.0 * n + 2.0 - 2e9 for n in range(8)]),
@@ -600,7 +607,7 @@ class TestVerifyCommand:
         start = time.perf_counter()
         levels = self.verify_levels(model, 8)
         assert time.perf_counter() - start < 1.0
-        assert [lv.energy for lv in levels] == lowest
+        assert levels.tolist() == lowest
 
 
 class TestVerifyWindow:

@@ -68,12 +68,11 @@ class TestPthoEnergies:
         # the lowest `count` of both ladders, exactly `count` of them
         p = ps.PthoParams(1.5, 1.0)
         levels = ps.ptho_levels(p, 6)
-        energies = [lv.energy for lv in levels]
-        assert energies == [-1.0, 3.0, 5.0, 7.0, 9.0, 11.0]
-        assert [(lv.index, lv.qparity) for lv in levels[:3]] == [
-            (0, -1), (1, -1), (0, +1)]
-        assert [lv.energy for lv in ps.ptho_levels(p, 1)] == [-1.0]
-        assert ps.ptho_levels(p, 0) == []
+        assert levels.tolist() == [-1.0, 3.0, 5.0, 7.0, 9.0, 11.0]
+        assert [ps.ptho_energy(n, s, p) for n, s in [
+            (0, -1), (1, -1), (0, +1)]] == levels[:3].tolist()
+        assert ps.ptho_levels(p, 1).tolist() == [-1.0]
+        assert ps.ptho_levels(p, 0).tolist() == []
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -138,23 +137,33 @@ class TestAngularEnergies:
             ps.angular_wavefunction(0, +1, p, 0.5)
 
     def test_termination_level_multisets(self):
-        lv0 = ps.termination_levels(angular(0.0), 7)
-        assert [l.energy for l in lv0] == [0, 1, 1, 4, 4, 9, 9]
-        assert sorted(l.energy for l in lv0 if l.qparity == +1) == [1, 4, 9]
-        assert sorted(l.energy for l in lv0 if l.qparity == -1) == [
-            0, 1, 4, 9]
+        # the lowest levels are the first values of the plus ladder merged
+        # with those of the minus ladder
+        def ladder(p, qparity, indices):
+            return [ps.angular_energy(k, qparity, p) for k in indices]
 
-        lv1 = ps.termination_levels(angular(1.0), 5)
-        assert sorted(l.energy for l in lv1 if l.qparity == +1) == [4]
-        assert sorted(l.energy for l in lv1 if l.qparity == -1) == [
-            0, 1, 1, 4]
+        p0 = angular(0.0)
+        lv0 = ps.termination_levels(p0, 7)
+        assert lv0.tolist() == [0, 1, 1, 4, 4, 9, 9]
+        assert ladder(p0, +1, range(3)) == [1, 4, 9]
+        assert ladder(p0, -1, range(4)) == [0, 1, 4, 9]
+        assert sorted(ladder(p0, +1, range(3))
+                      + ladder(p0, -1, range(4))) == lv0.tolist()
+
+        p1 = angular(1.0)
+        lv1 = ps.termination_levels(p1, 5)
+        assert ladder(p1, +1, range(1)) == [4]
+        assert sorted(ladder(p1, -1, range(4))) == [0, 1, 1, 4]
+        assert sorted(ladder(p1, +1, range(1))
+                      + ladder(p1, -1, range(4))) == lv1.tolist()
 
         # the minus ladder (k - ell)^2 falls to zero at k = ell first
-        lv2 = ps.termination_levels(angular(2.0), 5)
-        assert [l.energy for l in lv2 if l.qparity == +1] == []
-        assert sorted((l.energy, l.index) for l in lv2) == [
-            (0, 2), (1, 1), (1, 3), (4, 0), (4, 4)]
-        assert ps.termination_levels(angular(2.0), 0) == []
+        p2 = angular(2.0)
+        lv2 = ps.termination_levels(p2, 5)
+        assert ladder(p2, +1, range(1)) == [9] and lv2.max() < 9
+        assert ladder(p2, -1, (2, 1, 3, 0, 4)) == lv2.tolist() == [
+            0, 1, 1, 4, 4]
+        assert ps.termination_levels(p2, 0).tolist() == []
 
 
 @pytest.mark.parametrize("levels,model", [
