@@ -23,7 +23,9 @@ S = (e^{i pi/4} I + e^{-i pi/4} J) / sqrt(2),
 
 plus the periodic corners; row j of the antidiagonal holds Im V_j.
 real_form assembles A from these O(N) entries as a sparse matrix; the
-complex H is never formed, and only eigen.eig_dense makes A dense.
+complex H is never formed, and only eigen.eig_dense makes A dense: one
+copy per block, with both half-grid copies alive at once (4 N^2 bytes)
+while the second may be solved in an extra thread.
 In the folded order (0, N-1, 1, N-2, ...) the antidiagonal and the
 periodic corners sit next to the diagonal and a STENCIL coupling d grid
 steps long 2d places off it, so folded_band stores A as a band of
@@ -55,7 +57,9 @@ from .models import (AngularParams, PthoParams, require_count,
                      require_finite)
 
 MIN_POINTS = 16
-MAX_POINTS = 4096    # largest grid real_form assembles (eig_dense: 8 N^2 bytes)
+# largest grid real_form assembles; eig_dense holds 8 N^2 bytes for the
+# full grid, 4 N^2 for the two half-grid blocks, whose copies it makes at once
+MAX_POINTS = 4096
 DEFAULT_HALFWIDTH = 12.0
 # -h^2 d^2/dt^2 as the central 3-point stencil: the diagonal coefficient,
 # then the coupling to each neighbour; in the folded order a coupling d

@@ -1,11 +1,15 @@
 """Non-Hermitian spectra: solve, classify, verify, scan.
 
-The full spectrum comes from LAPACK's balanced Hessenberg QR
-(scipy.linalg.eigvals, no eigenvectors) on each real form A = S* H S of
-contour.real_blocks: the two half-grid blocks of the pi-periodic angular
-operator when N % 4 == 0, a quarter of one full-grid solve, and the
-full-grid A otherwise.  eig_dense makes the package's only dense
-matrix, one block's Fortran-order copy, which LAPACK then overwrites.
+The full spectrum comes from LAPACK's balanced Hessenberg QR (dgeev, no
+eigenvectors) on each real form A = S* H S of contour.real_blocks: the
+two half-grid blocks of the pi-periodic angular operator when
+N % 4 == 0, a quarter of one full-grid solve, and the full-grid A
+otherwise.  eig_dense makes the package's only dense matrices, one
+Fortran-order copy per block, which LAPACK then overwrites; both
+half-grid copies (2 N^2 bytes each, 4 N^2 together) are alive at once,
+still under the full grid's 8 N^2.  When OpenBLAS runs one thread per
+call, the second half-grid block is solved in one extra thread while
+the calling thread solves the first.
 Every non-real eigenvalue comes with its exact conjugate and real ones
 have Im == 0.  The PT defect of each eigenvector of H = S A S* costs
 O(N): 0 for a real value, and from one step of inverse iteration on the
@@ -23,10 +27,13 @@ rectangle.  Values with Re above about 2/h^2 are grid artifacts
 closed form as the four columns that `ptspec verify` prints.
 """
 
+import ctypes
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.cython_lapack
 import scipy.sparse.linalg
 
 from .contour import (STENCIL, folded_band, folded_order, real_blocks,
@@ -69,19 +76,136 @@ def _sort_order(values):
     return np.lexsort((values.imag, values.real))
 
 
-def eig_dense(a):
-    """Every eigenvalue of one real form block `a` (a scipy.sparse array
-    from contour.real_blocks), sorted by real part (imaginary part breaks
-    ties): LAPACK's balanced Hessenberg QR, with no eigenvectors.  The
-    block's dense Fortran-order copy is made here and handed to LAPACK to
-    overwrite: it is the one N x N array of the solve, and `a` stays
-    unchanged."""
+def _lapack_dgeev():
+    """LAPACK dgeev as a ctypes function, from the pointer scipy's
+    cython_lapack exports in a capsule.  The capsule's name is the C
+    signature; anything other than dgeev's 14 pointer parameters, jobvl
+    and jobvr as char *, the sizes and info as int *, raises ImportError,
+    since every argument is passed as a raw pointer.  A ctypes call
+    releases the GIL for the whole foreign call (scipy.linalg.eigvals
+    holds it)."""
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__["dgeev"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                    ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    name = get_name(capsule)
+    signature = name.decode()
+    params = signature[signature.index("(") + 1:signature.rindex(")")]
+    kinds = "".join({"char *": "c", "int *": "i"}.get(
+        p, "d" if p.endswith(" *") else "?") for p in params.split(", "))
+    if kinds != "ccididddididii":
+        raise ImportError(f"cython_lapack dgeev has signature {signature}")
+    types = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int),
+             "d": ctypes.POINTER(ctypes.c_double)}
+    return ctypes.CFUNCTYPE(None, *map(types.get, kinds))(
+        get_pointer(capsule, name))
+
+
+def _blas_threads_query():
+    """OpenBLAS's query of its threads per call, found from the library
+    cython_lapack links, or None for a BLAS without one."""
+    lib = ctypes.CDLL(scipy.linalg.cython_lapack.__file__)
+    for name in ("scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+        query = getattr(lib, name, None)
+        if query is not None:
+            return query
+    return None
+
+
+_DGEEV = _lapack_dgeev()
+_BLAS_THREADS = _blas_threads_query()
+
+
+def _dgeev_args(a):
+    """(args, wr, wi, info) for eigenvalues only of the block `a`: dgeev's
+    arguments on a dense Fortran-order copy of `a`, which dgeev
+    overwrites, with a workspace of the size a lwork = -1 query asks for
+    (scipy.linalg.eigvals' size).  The args hold every array and int they
+    point to; wr and wi start as NaN."""
+    dense = a.toarray(order="F")
+    n = len(dense)
+    wr, wi, unused, query = (np.full(k, np.nan) for k in (n, n, 1, 1))
+    size, lda, ldv, lwork, info = map(ctypes.c_int, (n, max(1, n), 1, -1, 0))
+
+    def args(work):
+        return (b"N", b"N", ctypes.byref(size), _pointer(dense),
+                ctypes.byref(lda), _pointer(wr), _pointer(wi),
+                _pointer(unused), ctypes.byref(ldv), _pointer(unused),
+                ctypes.byref(ldv), _pointer(work), ctypes.byref(lwork),
+                ctypes.byref(info))
+    _DGEEV(*args(query))
+    _check_dgeev(info)
+    lwork.value = int(query[0])
+    return args(np.empty(lwork.value)), wr, wi, info
+
+
+def _pointer(array):
+    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
+
+
+def _check_dgeev(info):
+    """scipy.linalg.eigvals' errors for dgeev's info: NonConvergence for
+    info > 0 (the QR iteration failed to deflate), ValueError below 0."""
+    if info.value < 0:
+        raise ValueError(f"illegal value in argument {-info.value} of "
+                         "internal eig algorithm (geev)")
+    if info.value > 0:
+        raise NonConvergence(
+            f"eig algorithm (geev) did not converge (only eigenvalues with "
+            f"order >= {info.value} have converged)")
+
+
+def eig_dense(blocks):
+    """Every eigenvalue of each real form block in `blocks` (scipy.sparse
+    arrays from contour.real_blocks), one array per block, sorted by real
+    part (imaginary part breaks ties): LAPACK's balanced Hessenberg QR
+    (dgeev), with no eigenvectors, bit for bit scipy.linalg.eigvals.
+
+    The calling thread makes every dense Fortran-order copy, result array
+    and workspace first (_dgeev_args): the copies are the N x N arrays of
+    the solve, all alive at once, and the blocks stay unchanged.  When
+    OpenBLAS runs one thread per call, the first block's dgeev runs in the
+    calling thread and each further block's in a thread of its own, which
+    real_blocks' two half-grid blocks keep to one extra thread.  Only the
+    foreign call runs there, and it is joined before anything returns or
+    raises.  With more BLAS threads per call, or a BLAS that cannot tell,
+    every dgeev runs in the calling thread: at OpenBLAS's default of one
+    thread per core, two concurrent solves on two cores took 1.03 to 1.45
+    times as long as one after the other (angular N = 256 to 2048), where
+    with one BLAS thread they took 0.54 to 0.68 times as long.  Each info
+    is checked after every solve has ended (_check_dgeev).
+
+    A block that is not float64 raises TypeError, and one that is not
+    square ValueError, before any LAPACK call."""
+    for a in blocks:
+        if a.dtype != np.float64:
+            raise TypeError(f"eig_dense takes float64 blocks, got {a.dtype}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"eig_dense takes square blocks, got shape "
+                             f"{a.shape}")
+    solves = [_dgeev_args(a) for a in blocks]
+    here = [args for args, *_ in solves]
+    workers = []
     try:
-        values = scipy.linalg.eigvals(a.toarray(order="F"), overwrite_a=True,
-                                      check_finite=False)
-    except scipy.linalg.LinAlgError as exc:   # QR iteration failed to deflate
-        raise NonConvergence(str(exc)) from exc
-    return values[_sort_order(values)]
+        if _BLAS_THREADS is not None and _BLAS_THREADS() == 1:
+            for args in here[1:]:
+                worker = threading.Thread(target=_DGEEV, args=args)
+                worker.start()
+                workers.append(worker)
+            here = here[:1]
+        for args in here:
+            _DGEEV(*args)
+    finally:
+        for worker in workers:
+            worker.join()
+    out = []
+    for _, wr, wi, info in solves:
+        _check_dgeev(info)
+        values = wr + 1j * wi               # as scipy.linalg.eigvals builds it
+        out.append(values[_sort_order(values)])
+    return out
 
 
 def classify_spectrum(values, reality_tol=DEFAULT_REALITY_TOL,
@@ -165,7 +289,7 @@ def _dense_spectrum(model, g):
     (eig_dense).  Half-grid blocks hold the entries of the full-grid A,
     so every block has its ||A||_1."""
     blocks = real_blocks(model, g)
-    return blocks, [eig_dense(a) for a in blocks]
+    return blocks, eig_dense(blocks)
 
 
 def _pt_defects(a, values):
@@ -590,7 +714,7 @@ def ptho_numeric_family(model, contour, levels):
     at or above the levels-th window value (the rule of solve_lowest),
     and the window is accepted when count_missing finds no eigenvalue
     with Re < x missing from it; otherwise k doubles, and once 2k reaches
-    N the loop answers with every value of the dense eigvals.
+    N the loop answers with every value of the dense solve (eig_dense).
 
     Only the spurious cutoff is applied; no reality/pair classification.
     Inside the tiny exceptional-point window around a crossing the

@@ -323,7 +323,7 @@ class TestHamiltonian:
         def err(npoints):
             model = ps.PthoParams(0.5, 1.0)
             g = ps.Contour("straight", 12.0, npoints)
-            vals = ps.eig_dense(real_form(model, g))
+            vals = ps.eig_dense([real_form(model, g)])[0]
             return abs(vals[0] - 1.0)
 
         assert err(201) / err(401) > 3.8

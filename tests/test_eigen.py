@@ -1,7 +1,9 @@
 """Dense eigensolve, band vectors, classification, PT defect, matching,
 and scans."""
 
+import ctypes
 import math
+import threading
 import tracemalloc
 import warnings
 
@@ -33,28 +35,76 @@ def faddeev_leverrier(m):
     return coeffs
 
 
+def realification(m):
+    """The real 2n x 2n matrix [[Re m, -Im m], [Im m, Re m]] of a complex
+    m: its spectrum is that of m together with that of conj(m)."""
+    return np.block([[m.real, -m.imag], [m.imag, m.real]])
+
+
+@pytest.fixture(params=[1, 2], ids=["one-blas-thread", "two-blas-threads"])
+def blas_threads(request, monkeypatch):
+    """eig_dense as it runs with OpenBLAS at 1 and at 2 threads per call:
+    the further blocks in threads of their own, or all in the calling
+    thread."""
+    monkeypatch.setattr(ptspec.eigen, "_BLAS_THREADS", lambda: request.param)
+    return request.param
+
+
+def record_threads(monkeypatch):
+    """(thread, target) of each thread eig_dense makes, recorded as it is
+    made: a thread drops its target once it has run."""
+    made = []
+
+    class Thread(threading.Thread):
+        def __init__(self, *args, target=None, **kwargs):
+            super().__init__(*args, target=target, **kwargs)
+            made.append((self, target))
+    monkeypatch.setattr(ptspec.eigen.threading, "Thread", Thread)
+    return made
+
+
+def dgeev_stub(monkeypatch, code):
+    """Replace the LAPACK binding by a stub that answers the workspace
+    query with one double and sets info to `code` on every solve."""
+    calls = []
+
+    def dgeev(*args):
+        lwork, info = args[-2]._obj, args[-1]._obj
+        if lwork.value == -1:
+            args[11][0] = 1.0
+        else:
+            calls.append(args[2]._obj.value)
+            info.value = code
+    monkeypatch.setattr(ptspec.eigen, "_DGEEV", dgeev)
+    return calls
+
+
 class TestEigDense:
     def test_symmetric_flip(self):
-        m = np.array([[0, 1], [1, 0]], dtype=complex)
-        vals = ps.eig_dense(scipy.sparse.coo_array(m))
+        m = np.array([[0, 1], [1, 0]], dtype=float)
+        vals = ps.eig_dense([scipy.sparse.coo_array(m)])[0]
         assert vals == pytest.approx([-1.0, 1.0], abs=1e-14)
 
     def test_antisymmetric_flip(self):
         # the (Re, Im) sort is ambiguous at Re = 0 +/- rounding, so
         # compare after ordering by imaginary part
-        m = np.array([[0, 1], [-1, 0]], dtype=complex)
-        vals = ps.eig_dense(scipy.sparse.coo_array(m))
+        m = np.array([[0, 1], [-1, 0]], dtype=float)
+        vals = ps.eig_dense([scipy.sparse.coo_array(m)])[0]
         vals = vals[np.argsort(vals.imag)]
         assert vals == pytest.approx([-1j, 1j], abs=1e-14)
 
     def test_random_matrix_matches_charpoly_roots(self):
+        # the random complex m enters as its real 12 x 12 realification,
+        # whose spectrum is the roots of m's characteristic polynomial
+        # and their conjugates
         mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(31)
         m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        vals = ps.eig_dense(scipy.sparse.coo_array(m))
+        vals = ps.eig_dense([scipy.sparse.coo_array(realification(m))])[0]
         roots = mp.polyroots([mp.mpc(c) for c in faddeev_leverrier(m)],
                              maxsteps=200, extraprec=100)
-        roots = sorted((complex(r) for r in roots),
+        roots = [complex(r) for r in roots]
+        roots = sorted(roots + [np.conj(r) for r in roots],
                        key=lambda z: (z.real, z.imag))
         assert vals == pytest.approx(roots, abs=1e-9)
 
@@ -62,18 +112,101 @@ class TestEigDense:
         (ps.PthoParams(1.5, 1.0), 64), (ps.PthoParams(1.5, 1.0), 65),
         (ps.AngularParams(ell=1.0, eps=0.1), 64)])
     def test_argument_unchanged(self, model, npoints):
-        # LAPACK overwrites the dense copy eig_dense makes, never the
-        # caller's block, and the values are those of an eigvals call
+        # LAPACK overwrites the dense copies eig_dense makes, never the
+        # caller's blocks, and the values are those of an eigvals call
         # that leaves its input alone, bit for bit
         g = ps.contour_for(model, npoints=npoints, halfwidth=8.0)
-        for a in real_blocks(model, g):
-            before = a.toarray()
-            values = ps.eig_dense(a)
-            assert np.array_equal(a.toarray(), before)
-            reference = scipy.linalg.eigvals(before)
+        blocks = real_blocks(model, g)
+        before = [a.toarray() for a in blocks]
+        for a, dense, values in zip(blocks, before, ps.eig_dense(blocks)):
+            assert np.array_equal(a.toarray(), dense)
+            reference = scipy.linalg.eigvals(dense)
             assert np.array_equal(
                 values,
                 reference[np.lexsort((reference.imag, reference.real))])
+
+    @pytest.mark.parametrize("model,npoints", [
+        (ps.PthoParams(1.5, 1.0), 64), (ps.PthoParams(1.5, 1.0), 65),
+        (ps.PthoParams(1.5, 1.0), 800),
+        (ps.AngularParams(ell=1.0, eps=0.1), 64),
+        (ps.AngularParams(ell=2.0, eps=0.1), 64),
+        (ps.AngularParams(ell=1.0, eps=0.1), 512),
+        (ps.AngularParams(ell=2.0, eps=0.1), 512)])
+    def test_values_are_eigvals_bit_for_bit(self, blas_threads, model,
+                                            npoints):
+        g = ps.contour_for(model, npoints=npoints)
+        blocks = real_blocks(model, g)
+        got = ps.eig_dense(blocks)
+        assert len(got) == len(blocks)
+        for a, values in zip(blocks, got):
+            reference = scipy.linalg.eigvals(a.toarray())
+            assert np.array_equal(
+                values,
+                reference[np.lexsort((reference.imag, reference.real))])
+
+    @pytest.mark.parametrize("ell", [1.0, 2.0])
+    def test_blocks_together_equal_one_at_a_time(self, monkeypatch, ell):
+        # with one BLAS thread the second block is solved in a thread of
+        # its own while the first is solved here
+        monkeypatch.setattr(ptspec.eigen, "_BLAS_THREADS", lambda: 1)
+        model = ps.AngularParams(ell=ell, eps=0.1)
+        blocks = real_blocks(model, ps.contour_for(model, npoints=512))
+        together = ps.eig_dense(blocks)
+        for a, values in zip(blocks, together):
+            assert np.array_equal(values, ps.eig_dense([a])[0])
+
+    @pytest.mark.parametrize("npoints", [64, 66])
+    def test_at_most_one_extra_thread(self, blas_threads, monkeypatch,
+                                      npoints):
+        # N = 64 has two half-grid blocks, N = 66 one; the extra thread
+        # runs the ctypes binding itself, so no Python code runs in it,
+        # and it has ended when eig_dense returns
+        made = record_threads(monkeypatch)
+        model = ps.AngularParams(ell=1.0, eps=0.1)
+        blocks = real_blocks(model, ps.contour_for(model, npoints=npoints))
+        ps.eig_dense(blocks)
+        expected = 1 if blas_threads == 1 and len(blocks) == 2 else 0
+        assert len(made) == expected
+        for thread, target in made:
+            assert target is ptspec.eigen._DGEEV
+            assert isinstance(target, ctypes._CFuncPtr)
+            assert not thread.is_alive()
+
+    @pytest.mark.parametrize("dtype", [complex, np.float32, int])
+    def test_block_that_is_not_float64_is_rejected(self, monkeypatch,
+                                                   dtype):
+        # LAPACK reads every block as float64 through a raw pointer; a
+        # bad second block is rejected before the first is solved
+        calls = []
+        original = ptspec.eigen._DGEEV
+        monkeypatch.setattr(ptspec.eigen, "_DGEEV",
+                            lambda *args: calls.append(args) or original(*args))
+        good = scipy.sparse.coo_array(np.eye(3))
+        bad = scipy.sparse.coo_array(np.eye(3, dtype=dtype))
+        with pytest.raises(TypeError, match="float64"):
+            ps.eig_dense([good, bad])
+        assert calls == []
+
+    def test_block_that_is_not_square_is_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            ps.eig_dense([scipy.sparse.coo_array(np.ones((3, 4)))])
+
+    @pytest.mark.parametrize("code,error,message", [
+        (3, NonConvergence, "did not converge .* order >= 3"),
+        (-5, ValueError, "illegal value in argument 5")])
+    def test_info_raises_after_every_solve(self, blas_threads, monkeypatch,
+                                           code, error, message):
+        # info > 0: the QR iteration failed to deflate; info < 0: LAPACK
+        # rejected an argument.  Both blocks were solved, and no thread is
+        # left running
+        calls = dgeev_stub(monkeypatch, code)
+        made = record_threads(monkeypatch)
+        model = ps.AngularParams(ell=1.0, eps=0.1)
+        blocks = real_blocks(model, ps.contour_for(model, npoints=64))
+        with pytest.raises(error, match=message):
+            ps.eig_dense(blocks)
+        assert calls == [32, 32]
+        assert not any(thread.is_alive() for thread, _ in made)
 
 
 class TestClassify:
@@ -330,7 +463,7 @@ class TestSpectrumSymmetry:
         # closed under complex conjugation; the real form keeps it exact
         model = ps.PthoParams(1.5, 1.0)
         g = ps.contour_for(model, npoints=64, halfwidth=8.0)
-        vals = ps.eig_dense(real_form(model, g))
+        vals = ps.eig_dense([real_form(model, g)])[0]
         assert conjugation_closed(vals)
 
     def test_strong_shift_stays_conjugation_closed(self):
@@ -371,13 +504,14 @@ class TestSpectrumSymmetry:
         assert res.pt_defects[ground] == 0.0
 
     def test_vectors_peak_memory(self):
-        # the one dense copy of A that eig_dense hands LAPACK to
-        # overwrite (8 N^2 bytes for one block, 2 N^2 for each of two
-        # half-grid blocks) and the band vectors, O(N) per non-real
-        # value, dominate; for the angular blocks the band vectors and
-        # their stacked LUs outweigh the dense copy.  Measured peaks:
-        # oscillator N = 800 8.53 N^2, angular N = 512 7.36 N^2; the
-        # bounds leave 9% above each
+        # the dense copies of A that eig_dense hands LAPACK to
+        # overwrite (8 N^2 bytes for one block, 4 N^2 for the two
+        # half-grid blocks, made at once) and the band vectors, O(N) per
+        # non-real value, dominate; for the angular blocks the band
+        # vectors and their stacked LUs outweigh the dense copies.
+        # Measured peaks at the default BLAS threads: oscillator N = 800
+        # 8.56 N^2, angular N = 512 7.39 N^2 (7.89 N^2 with one BLAS
+        # thread)
         for model, n, bound in ((ps.PthoParams(1.5, 1.0), 800, 9.3),
                                 (ps.AngularParams(ell=1.0, eps=0.1), 512, 8)):
             g = ps.contour_for(model, npoints=n)
@@ -415,7 +549,7 @@ class TestSpectrumSymmetry:
 def band_pairs(a):
     """The eigenvalues of the real form a (eig_dense) and a band vector
     for every one of them."""
-    values = ps.eig_dense(a)
+    values = ps.eig_dense([a])[0]
     return values, _band_vectors(a, values)
 
 
@@ -519,7 +653,7 @@ class TestSymmetryBlocks:
         assert len(blocks) == 1
         a = real_form(model, g)
         assert np.array_equal(blocks[0].toarray(), a.toarray())
-        values = ps.eig_dense(a)
+        values = ps.eig_dense([a])[0]
         assert np.array_equal(_dense_spectrum(model, g)[1][0], values)
         res = ps.solve_spectrum(model, g)
         assert np.array_equal(res.eigenvalues, values)
@@ -557,7 +691,7 @@ class TestBandVectors:
                  + np.fliplr(np.diag(rng.normal(size=n))))
         dense[0, -1], dense[-1, 0] = rng.normal(size=2)
         a = scipy.sparse.coo_array(dense)
-        values = ps.eig_dense(a)
+        values = ps.eig_dense([a])[0]
         assert np.count_nonzero(values.imag) >= 2
         y = _band_vectors(a, values)
         assert np.allclose(np.linalg.norm(y, axis=0), 1.0, rtol=1e-13)
@@ -600,7 +734,7 @@ class TestBandVectors:
         g = ps.contour_for(model, npoints=npoints, halfwidth=10.0)
         checked = 0
         for a in real_blocks(model, g):
-            values = ps.eig_dense(a)
+            values = ps.eig_dense([a])[0]
             defects = _pt_defects(a, values)
             assert np.all(defects[values.imag == 0] == 0.0)
             partner = dict(zip(values.tolist(), defects))
@@ -880,7 +1014,7 @@ class TestCountMissing:
         assert np.array_equal(_log_det(padded, z), _log_det(band, z))
         assert _skew_norm(padded) == _skew_norm(band)
         sigma = _shift(band[2], g)
-        ev = ps.eig_dense(a)
+        ev = ps.eig_dense([a])[0]
         x = _gap_above(ev.real, ev.real[5])
         window = ev[ev.real < x]
         # without two real values, or without the lowest conjugate pair
@@ -994,7 +1128,7 @@ def dense_family(c, npoints, halfwidth):
         model = ps.PthoParams(alpha=alpha, c=c)
         g = ps.contour_for(model, npoints=npoints, halfwidth=halfwidth)
         a = real_form(model, g)
-        values = ps.eig_dense(a)
+        values = ps.eig_dense([a])[0]
         cut = _spurious_cut(g, folded_band(a))
         return values[values.real <= cut]
     return spectrum
@@ -1013,9 +1147,9 @@ class TestNumericFamily:
         calls = []
         original = ptspec.eigen.eig_dense
 
-        def eig_dense(a, **kwargs):
-            calls.append(a.shape[0])
-            return original(a, **kwargs)
+        def eig_dense(blocks):
+            calls.extend(a.shape[0] for a in blocks)
+            return original(blocks)
         monkeypatch.setattr(ptspec.eigen, "eig_dense", eig_dense)
         return calls
 

@@ -97,6 +97,24 @@ MUTANTS = [
     ("cli.py", "except (NonConvergence, ValueError, ArithmeticError)",
      "except (NonConvergence, ValueError, FloatingPointError)",
      ["tests/test_cli.py::TestExitCodes::test_solver_error_exits_3"]),
+    # dgeev's info never checked: a failed solve returns its values
+    ("eigen.py",
+     "        _check_dgeev(info)\n        values = wr",
+     "        values = wr",
+     ["tests/test_eigen.py::TestEigDense"
+      "::test_info_raises_after_every_solve"]),
+    # the extra block's thread never started
+    ("eigen.py", "                worker.start()\n", "",
+     ["tests/test_eigen.py::TestEigDense"
+      "::test_blocks_together_equal_one_at_a_time"]),
+    # a block that is not float64 reaches LAPACK as raw memory
+    ("eigen.py",
+     "        if a.dtype != np.float64:\n"
+     "            raise TypeError(f\"eig_dense takes float64 blocks, got "
+     "{a.dtype}\")\n",
+     "",
+     ["tests/test_eigen.py::TestEigDense"
+      "::test_block_that_is_not_float64_is_rejected"]),
 ]
 
 
