@@ -443,8 +443,8 @@ def main(argv=None):
         # spectrum solves each real form block as one dense array in
         # eig_dense, which makes them all at once (8 N^2 bytes for the
         # full grid, 4 N^2 for both half-grid blocks, the second solved in
-        # an extra thread when BLAS runs one thread per call); verify and
-        # scan fall back to that solve when a window is not certified.
+        # an extra thread); verify and scan fall back to that solve when a
+        # window is not certified.
         # wavefunction writes a row per grid point.
         cap = MAX_ROWS if args.command == "wavefunction" else MAX_POINTS
         if g.npoints > cap:

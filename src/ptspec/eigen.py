@@ -7,9 +7,9 @@ N % 4 == 0, a quarter of one full-grid solve, and the full-grid A
 otherwise.  eig_dense makes the package's only dense matrices, one
 Fortran-order copy per block, which LAPACK then overwrites; both
 half-grid copies (2 N^2 bytes each, 4 N^2 together) are alive at once,
-still under the full grid's 8 N^2.  When OpenBLAS runs one thread per
-call, the second half-grid block is solved in one extra thread while
-the calling thread solves the first.
+still under the full grid's 8 N^2.  The second half-grid block is
+solved in one extra thread while the calling thread solves the first,
+where the LAPACK is a threaded OpenBLAS build.
 Every non-real eigenvalue comes with its exact conjugate and real ones
 have Im == 0.  The PT defect of each eigenvector of H = S A S* costs
 O(N): 0 for a real value, and from one step of inverse iteration on the
@@ -103,19 +103,24 @@ def _lapack_dgeev():
         get_pointer(capsule, name))
 
 
-def _blas_threads_query():
-    """OpenBLAS's query of its threads per call, found from the library
-    cython_lapack links, or None for a BLAS without one."""
+def _threaded_openblas():
+    """Whether the LAPACK that cython_lapack links is a threaded OpenBLAS
+    build (get_parallel() != 0), which takes dgeev calls from two threads
+    at once.  A sequential OpenBLAS build (get_parallel() == 0) does so
+    safely only when built with USE_LOCKING, which it cannot report, and
+    a LAPACK without the query is not known to: False for both.  The
+    query is found from cython_lapack's own library, since a symbol
+    lookup on a library's handle also searches the libraries it links."""
     lib = ctypes.CDLL(scipy.linalg.cython_lapack.__file__)
-    for name in ("scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+    for name in ("scipy_openblas_get_parallel", "openblas_get_parallel"):
         query = getattr(lib, name, None)
         if query is not None:
-            return query
-    return None
+            return query() != 0
+    return False
 
 
 _DGEEV = _lapack_dgeev()
-_BLAS_THREADS = _blas_threads_query()
+_THREAD_SAFE = _threaded_openblas()
 
 
 def _dgeev_args(a):
@@ -165,17 +170,14 @@ def eig_dense(blocks):
 
     The calling thread makes every dense Fortran-order copy, result array
     and workspace first (_dgeev_args): the copies are the N x N arrays of
-    the solve, all alive at once, and the blocks stay unchanged.  When
-    OpenBLAS runs one thread per call, the first block's dgeev runs in the
-    calling thread and each further block's in a thread of its own, which
-    real_blocks' two half-grid blocks keep to one extra thread.  Only the
-    foreign call runs there, and it is joined before anything returns or
-    raises.  With more BLAS threads per call, or a BLAS that cannot tell,
-    every dgeev runs in the calling thread: at OpenBLAS's default of one
-    thread per core, two concurrent solves on two cores took 1.03 to 1.45
-    times as long as one after the other (angular N = 256 to 2048), where
-    with one BLAS thread they took 0.54 to 0.68 times as long.  Each info
-    is checked after every solve has ended (_check_dgeev).
+    the solve, all alive at once, and the blocks stay unchanged.  The
+    first block's dgeev runs in the calling thread and each further
+    block's in a thread of its own, which real_blocks' two half-grid
+    blocks keep to one extra thread.  Only the foreign call runs there,
+    and it is joined before anything returns or raises.  Where the LAPACK
+    is not a threaded OpenBLAS build (_threaded_openblas), every dgeev
+    runs in the calling thread, one after the other.  Each info is
+    checked after every solve has ended (_check_dgeev).
 
     A block that is not float64 raises TypeError, and one that is not
     square ValueError, before any LAPACK call."""
@@ -186,16 +188,14 @@ def eig_dense(blocks):
             raise ValueError(f"eig_dense takes square blocks, got shape "
                              f"{a.shape}")
     solves = [_dgeev_args(a) for a in blocks]
-    here = [args for args, *_ in solves]
+    extra = solves[1:] if _THREAD_SAFE else []
     workers = []
     try:
-        if _BLAS_THREADS is not None and _BLAS_THREADS() == 1:
-            for args in here[1:]:
-                worker = threading.Thread(target=_DGEEV, args=args)
-                worker.start()
-                workers.append(worker)
-            here = here[:1]
-        for args in here:
+        for args, *_ in extra:
+            worker = threading.Thread(target=_DGEEV, args=args)
+            worker.start()
+            workers.append(worker)
+        for args, *_ in solves[:len(solves) - len(extra)]:
             _DGEEV(*args)
     finally:
         for worker in workers:

@@ -5,11 +5,13 @@ import ctypes
 import math
 import threading
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.cython_lapack
 import scipy.sparse.linalg
 
 import ptspec as ps
@@ -41,25 +43,53 @@ def realification(m):
     return np.block([[m.real, -m.imag], [m.imag, m.real]])
 
 
+def _openblas(name):
+    """The OpenBLAS function `name` from the library cython_lapack links,
+    under the scipy wheel's prefix or without it, or None."""
+    lib = ctypes.CDLL(scipy.linalg.cython_lapack.__file__)
+    for prefix in ("scipy_", ""):
+        function = getattr(lib, prefix + name, None)
+        if function is not None:
+            return function
+    return None
+
+
 @pytest.fixture(params=[1, 2], ids=["one-blas-thread", "two-blas-threads"])
-def blas_threads(request, monkeypatch):
-    """eig_dense as it runs with OpenBLAS at 1 and at 2 threads per call:
-    the further blocks in threads of their own, or all in the calling
-    thread."""
-    monkeypatch.setattr(ptspec.eigen, "_BLAS_THREADS", lambda: request.param)
+def blas_threads(request):
+    """OpenBLAS at 1 and at 2 threads per call for the test, restored
+    after it."""
+    get = _openblas("openblas_get_num_threads")
+    set_ = _openblas("openblas_set_num_threads")
+    if get is None or set_ is None:
+        pytest.skip("the LAPACK is not OpenBLAS")
+    before = get()
+    set_(request.param)
+    yield request.param
+    set_(before)
+
+
+@pytest.fixture(params=[True, False], ids=["threaded", "sequential"])
+def thread_safe(request, monkeypatch):
+    """eig_dense as it runs on a threaded OpenBLAS build, the further
+    blocks in threads of their own, and on any other LAPACK, every block
+    in the calling thread."""
+    monkeypatch.setattr(ptspec.eigen, "_THREAD_SAFE", request.param)
     return request.param
 
 
 def record_threads(monkeypatch):
     """(thread, target) of each thread eig_dense makes, recorded as it is
-    made: a thread drops its target once it has run."""
+    made: a thread drops its target once it has run.  Only the name
+    eig_dense looks up is replaced, so threads made elsewhere in the
+    process are not recorded."""
     made = []
 
     class Thread(threading.Thread):
         def __init__(self, *args, target=None, **kwargs):
             super().__init__(*args, target=target, **kwargs)
             made.append((self, target))
-    monkeypatch.setattr(ptspec.eigen.threading, "Thread", Thread)
+    monkeypatch.setattr(ptspec.eigen, "threading",
+                        types.SimpleNamespace(Thread=Thread))
     return made
 
 
@@ -146,9 +176,9 @@ class TestEigDense:
 
     @pytest.mark.parametrize("ell", [1.0, 2.0])
     def test_blocks_together_equal_one_at_a_time(self, monkeypatch, ell):
-        # with one BLAS thread the second block is solved in a thread of
-        # its own while the first is solved here
-        monkeypatch.setattr(ptspec.eigen, "_BLAS_THREADS", lambda: 1)
+        # the second block is solved in a thread of its own while the
+        # first is solved here
+        monkeypatch.setattr(ptspec.eigen, "_THREAD_SAFE", True)
         model = ps.AngularParams(ell=ell, eps=0.1)
         blocks = real_blocks(model, ps.contour_for(model, npoints=512))
         together = ps.eig_dense(blocks)
@@ -156,7 +186,7 @@ class TestEigDense:
             assert np.array_equal(values, ps.eig_dense([a])[0])
 
     @pytest.mark.parametrize("npoints", [64, 66])
-    def test_at_most_one_extra_thread(self, blas_threads, monkeypatch,
+    def test_at_most_one_extra_thread(self, thread_safe, monkeypatch,
                                       npoints):
         # N = 64 has two half-grid blocks, N = 66 one; the extra thread
         # runs the ctypes binding itself, so no Python code runs in it,
@@ -165,7 +195,7 @@ class TestEigDense:
         model = ps.AngularParams(ell=1.0, eps=0.1)
         blocks = real_blocks(model, ps.contour_for(model, npoints=npoints))
         ps.eig_dense(blocks)
-        expected = 1 if blas_threads == 1 and len(blocks) == 2 else 0
+        expected = 1 if thread_safe and len(blocks) == 2 else 0
         assert len(made) == expected
         for thread, target in made:
             assert target is ptspec.eigen._DGEEV
@@ -194,7 +224,7 @@ class TestEigDense:
     @pytest.mark.parametrize("code,error,message", [
         (3, NonConvergence, "did not converge .* order >= 3"),
         (-5, ValueError, "illegal value in argument 5")])
-    def test_info_raises_after_every_solve(self, blas_threads, monkeypatch,
+    def test_info_raises_after_every_solve(self, thread_safe, monkeypatch,
                                            code, error, message):
         # info > 0: the QR iteration failed to deflate; info < 0: LAPACK
         # rejected an argument.  Both blocks were solved, and no thread is
@@ -207,6 +237,23 @@ class TestEigDense:
             ps.eig_dense(blocks)
         assert calls == [32, 32]
         assert not any(thread.is_alive() for thread, _ in made)
+
+
+    @pytest.mark.parametrize("lib,expected", [
+        ({"scipy_openblas_get_parallel": 1}, True),
+        ({"openblas_get_parallel": 2}, True),
+        ({"openblas_get_parallel": 0}, False),
+        ({}, False)])
+    def test_only_a_threaded_openblas_takes_two_solves(self, monkeypatch,
+                                                      lib, expected):
+        # a sequential OpenBLAS build is not safe for concurrent calls
+        # unless built with USE_LOCKING, and another LAPACK is not known
+        # to be: both are solved in the calling thread alone
+        fake = types.SimpleNamespace(
+            **{name: (lambda v=v: v) for name, v in lib.items()})
+        monkeypatch.setattr(ptspec.eigen, "ctypes",
+                            types.SimpleNamespace(CDLL=lambda path: fake))
+        assert ptspec.eigen._threaded_openblas() is expected
 
 
 class TestClassify:

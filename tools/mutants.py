@@ -104,7 +104,7 @@ MUTANTS = [
      ["tests/test_eigen.py::TestEigDense"
       "::test_info_raises_after_every_solve"]),
     # the extra block's thread never started
-    ("eigen.py", "                worker.start()\n", "",
+    ("eigen.py", "            worker.start()\n", "",
      ["tests/test_eigen.py::TestEigDense"
       "::test_blocks_together_equal_one_at_a_time"]),
     # a block that is not float64 reaches LAPACK as raw memory
@@ -115,6 +115,10 @@ MUTANTS = [
      "",
      ["tests/test_eigen.py::TestEigDense"
       "::test_block_that_is_not_float64_is_rejected"]),
+    # a sequential OpenBLAS build taken as safe for two concurrent solves
+    ("eigen.py", "return query() != 0", "return True",
+     ["tests/test_eigen.py::TestEigDense"
+      "::test_only_a_threaded_openblas_takes_two_solves"]),
 ]
 
 
