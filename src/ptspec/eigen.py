@@ -51,7 +51,8 @@ BACKWARD_ERROR_TOL = 1e-10
 
 # argument-principle count (count_missing): starting segments per edge
 # and the most determinants it evaluates; stacked band rows per zgbtrf
-# call (_stacked_lu), which bound the memory of the banded LUs
+# call (_stacked_lu), which size the one buffer, 16 (3w + 1) LU_ROWS
+# bytes, that the banded LUs are factored in
 MIN_SEGMENTS = 32
 MAX_LOG_DETS = 4096
 LU_ROWS = 4096
@@ -332,12 +333,12 @@ def _band_vectors(a, shifts):
     todo = np.arange(len(shifts))
     for seed in START_SEEDS:
         start = np.random.default_rng(seed).standard_normal(n)
+        starts = np.tile(start, _blocks_per_call(n, len(todo)))[:, None]
         v = np.empty((n, len(todo)), dtype=complex)
         for rows, lu, ipiv, u in _stacked_lu(band, shifts[todo]):
             u[np.abs(u) < tiny] = tiny
             m = rows.stop - rows.start
-            x, _ = scipy.linalg.lapack.zgbtrs(
-                lu, w, w, np.tile(start, m)[:, None], ipiv)
+            x, _ = scipy.linalg.lapack.zgbtrs(lu, w, w, starts[:m * n], ipiv)
             v[order, rows] = x.reshape(m, n).T
         v /= np.linalg.norm(v, axis=0)
         error = np.linalg.norm(sparse @ v - v * shifts[todo], axis=0) / norm
@@ -546,21 +547,37 @@ def _skew_norm(band):
     return rows.max()
 
 
+def _blocks_per_call(n, count):
+    """Blocks of n rows that one _stacked_lu call factors for `count`
+    shifts: as many as fit in LU_ROWS rows, at least one."""
+    return max(1, min(count, LU_ROWS // n))
+
+
 def _stacked_lu(band, z):
     """Yield (rows, lu, ipiv, u): one zgbtrf call factors A - z_i, A given
     by its folded band, for the shifts z[rows], up to LU_ROWS rows, side
     by side as the blocks of one band matrix with zero coupling, so
-    partial pivoting never crosses a block; u views U's diagonal in lu."""
+    partial pivoting never crosses a block; u views U's diagonal in lu.
+
+    Each zgbtrf call factors in place in the leading columns of one
+    Fortran-order buffer, allocated once per _stacked_lu call: its w fill
+    rows are zeroed, the band is written into each block and the shifts
+    are subtracted from the diagonal row.  So the next chunk overwrites
+    the lu and u yielded before it, and a caller must be done with them
+    before it advances."""
     n, w = band.shape[1], len(band) // 2
-    per_call = max(1, min(len(z), LU_ROWS // n))
-    stack = np.zeros((3 * w + 1, per_call * n), dtype=complex, order="F")
-    stack[w:] = np.tile(band, per_call)
+    per_call = _blocks_per_call(n, len(z))
+    buffer = np.empty((3 * w + 1, per_call * n), dtype=complex, order="F")
     for start in range(0, len(z), per_call):
         shifts = z[start:start + per_call]
-        ab = stack[:, :len(shifts) * n].copy(order="F")
-        ab[2 * w] -= np.repeat(shifts, n)
+        m = len(shifts)
+        ab = buffer[:, :m * n]
+        ab[:w] = 0.0
+        blocks = ab[w:].reshape(2 * w + 1, m, n)    # views, not copies
+        blocks[...] = band[:, None, :]
+        blocks[w] -= shifts[:, None]
         lu, ipiv, _ = scipy.linalg.lapack.zgbtrf(ab, w, w, overwrite_ab=True)
-        yield slice(start, start + len(shifts)), lu, ipiv, lu[2 * w]
+        yield slice(start, start + m), lu, ipiv, lu[2 * w]
 
 
 def _log_det(band, z):

@@ -19,7 +19,8 @@ import ptspec.eigen
 from ptspec.contour import MAX_POINTS, folded_band, real_blocks, real_form
 from ptspec.eigen import (PAIR, REAL, SPURIOUS, _band_vectors,
                           _dense_spectrum, _gap_above, _log_det, _pt_defects,
-                          _shift, _skew_norm, _spurious_cut, count_missing)
+                          _shift, _skew_norm, _spurious_cut, _stacked_lu,
+                          count_missing)
 from ptspec.exceptions import InsufficientLevels, NonConvergence
 
 from test_contour import complex_stencil
@@ -556,9 +557,10 @@ class TestSpectrumSymmetry:
         # half-grid blocks, made at once) and the band vectors, O(N) per
         # non-real value, dominate; for the angular blocks the band
         # vectors and their stacked LUs outweigh the dense copies.
-        # Measured peaks at the default BLAS threads: oscillator N = 800
-        # 8.56 N^2, angular N = 512 7.39 N^2 (7.89 N^2 with one BLAS
-        # thread)
+        # Measured peaks: oscillator N = 800 8.56 N^2 at one BLAS thread
+        # and at the default threads; angular N = 512 6.52 N^2 at one
+        # BLAS thread (198 non-real values) and 5.28 N^2 at the default
+        # threads on two cores (146)
         for model, n, bound in ((ps.PthoParams(1.5, 1.0), 800, 9.3),
                                 (ps.AngularParams(ell=1.0, eps=0.1), 512, 8)):
             g = ps.contour_for(model, npoints=n)
@@ -745,6 +747,22 @@ class TestBandVectors:
         for i, ev in enumerate(values):
             assert (np.linalg.norm(dense @ y[:, i] - ev * y[:, i])
                     <= 1e-10 * np.linalg.norm(dense, 1))
+
+    @pytest.mark.parametrize("model,npoints", [
+        (ps.PthoParams(1.5, 1.0), 40), (ps.PthoParams(1.0, 1.2), 41),
+        (ps.AngularParams(ell=1.0, eps=0.1), 40),
+        (ps.AngularParams(ell=2.0, eps=0.15), 41)])
+    @pytest.mark.parametrize("blocks", [1, 2, 5])
+    def test_vectors_stack_many_blocks(self, monkeypatch, model, npoints,
+                                       blocks):
+        # one call per value, two blocks per call, and five with a last
+        # call of fewer blocks: the vectors of one call for all values
+        g = ps.contour_for(model, npoints=npoints, halfwidth=8.0)
+        a = real_form(model, g)
+        values = ps.eig_dense([a])[0]
+        stacked = _band_vectors(a, values)
+        monkeypatch.setattr(ptspec.eigen, "LU_ROWS", npoints * blocks)
+        assert _band_vectors(a, values).tobytes() == stacked.tobytes()
 
     def test_exactly_singular_shift_is_clamped(self):
         # A - 2 has an exact zero pivot; raised to u ||A||_1 it gives the
@@ -1048,6 +1066,38 @@ class TestCountMissing:
         assert _log_det(band, z) == pytest.approx(stacked, rel=1e-13)
         single = np.array([_log_det(band, z[i:i + 1])[0] for i in range(23)])
         assert np.array_equal(stacked, single)
+
+    def test_stacked_lu_factors_every_chunk_in_one_buffer(self, monkeypatch):
+        # 23 shifts at 5 blocks per call: five zgbtrf calls, the last with
+        # three blocks, each factoring in place in the same buffer
+        model = ps.PthoParams(1.5, 1.0)
+        g = ps.contour_for(model, npoints=40, halfwidth=8.0)
+        band = folded_band(real_form(model, g))
+        z = np.linspace(-2.0, 60.0, 23) - np.linspace(0.0, 9.0, 23) * 1j
+        monkeypatch.setattr(ptspec.eigen, "LU_ROWS", 40 * 5)
+        chunks = [(rows, lu) for rows, lu, _, _ in _stacked_lu(band, z)]
+        assert [rows.stop - rows.start for rows, _ in chunks] == [
+            5, 5, 5, 5, 3]
+        for (_, lu), (_, after) in zip(chunks, chunks[1:]):
+            assert np.shares_memory(lu, after)
+
+    def test_log_det_peak_memory(self):
+        # one stacked buffer of 16 (3w + 1) LU_ROWS bytes, factored in
+        # place, and the per-call pivots and sums beside it: 1.19 buffers
+        # measured for 64 shifts on the angular N = 512 band, eight calls
+        # of eight blocks
+        model = ps.AngularParams(ell=1.0, eps=0.1)
+        g = ps.contour_for(model, npoints=512)
+        band = folded_band(real_form(model, g))
+        w = len(band) // 2
+        z = np.linspace(-3.0, 80.0, 64) + np.linspace(-5.0, 5.0, 64) * 1j
+        tracemalloc.start()
+        try:
+            _log_det(band, z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 16 * (3 * w + 1) * ptspec.eigen.LU_ROWS
 
     @pytest.mark.parametrize("model,npoints", SMALL_MODELS)
     def test_half_width_is_read_from_the_band(self, model, npoints):

@@ -45,7 +45,7 @@ MUTANTS = [
      ["tests/test_eigen.py::TestCountMissing"
       "::test_log_det_matches_slogdet"]),
     # the band stacked one row too low for zgbtrf
-    ("eigen.py", "stack[w:] = ", "stack[w + 1:] = ",
+    ("eigen.py", "blocks = ab[w:]", "blocks = ab[w + 1:]",
      ["tests/test_eigen.py::TestCountMissing"
       "::test_half_width_is_read_from_the_band"]),
     # count_missing without its cap on determinants
@@ -119,6 +119,16 @@ MUTANTS = [
     ("eigen.py", "return query() != 0", "return True",
      ["tests/test_eigen.py::TestEigDense"
       "::test_only_a_threaded_openblas_takes_two_solves"]),
+    # each chunk of shifts factored in a copy of the stacked buffer
+    ("eigen.py", "ab = buffer[:, :m * n]",
+     'ab = buffer[:, :m * n].copy(order="F")',
+     ["tests/test_eigen.py::TestCountMissing"
+      "::test_stacked_lu_factors_every_chunk_in_one_buffer",
+      "tests/test_eigen.py::TestCountMissing::test_log_det_peak_memory"]),
+    # the shifts subtracted from the first superdiagonal, not the diagonal
+    ("eigen.py", "blocks[w] -= shifts", "blocks[w - 1] -= shifts",
+     ["tests/test_eigen.py::TestCountMissing"
+      "::test_log_det_matches_slogdet"]),
 ]
 
 
