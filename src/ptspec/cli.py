@@ -9,10 +9,10 @@ DEFAULTS before any numerics run, into the {section: {key: value}} dict
 that every command reads and the JSON payload echoes.
 
 Every run is deterministic, byte for byte, at a fixed BLAS thread count.
-Threaded OpenBLAS rounds LAPACK's blocked reductions differently with the
-number of threads: at N=800, ``spectrum`` prints 140 of 800 rows
-differently with one thread than with two; its eigenvalues move by up
-to 3.1e-8 relative, and no label changes.
+The oscillator's ``spectrum`` still depends on it: threaded OpenBLAS
+rounds LAPACK's blocked reductions by it, and at N=800 140 of 800 rows
+differ between one thread and two (up to 3.1e-8 relative, no label
+changes).  The angular one on two half-grid blocks no longer does.
 
 A command's table is one ndarray per column, written in blocks of
 BLOCK_ROWS rows, never held as text whole.  A block is one %-format: a

@@ -5,11 +5,10 @@ eigenvectors) on each real form A = S* H S of contour.real_blocks: the
 two half-grid blocks of the pi-periodic angular operator when
 N % 4 == 0, a quarter of one full-grid solve, and the full-grid A
 otherwise.  eig_dense makes the package's only dense matrices, one
-Fortran-order copy per block, which LAPACK then overwrites; both
-half-grid copies (2 N^2 bytes each, 4 N^2 together) are alive at once,
-still under the full grid's 8 N^2.  The second half-grid block is
-solved in one extra thread while the calling thread solves the first,
-where the LAPACK is a threaded OpenBLAS build.
+Fortran-order copy per block (4 N^2 bytes for both half-grid blocks,
+under the full grid's 8 N^2), and solves each in one dgeev call sized
+by scipy's dgeev_lwork query; a threaded OpenBLAS solves the two
+half-grid blocks concurrently, at one BLAS thread each.
 Every non-real eigenvalue comes with its exact conjugate and real ones
 have Im == 0.  The PT defect of each eigenvector of H = S A S* costs
 O(N): 0 for a real value, and from one step of inverse iteration on the
@@ -82,9 +81,9 @@ def _lapack_dgeev():
     cython_lapack exports in a capsule.  The capsule's name is the C
     signature; anything other than dgeev's 14 pointer parameters, jobvl
     and jobvr as char *, the sizes and info as int *, raises ImportError,
-    since every argument is passed as a raw pointer.  A ctypes call
-    releases the GIL for the whole foreign call (scipy.linalg.eigvals
-    holds it)."""
+    since every argument reaches it as a raw pointer (a double * from a
+    float64 ndarray).  A ctypes call releases the GIL for the whole
+    foreign call (scipy.linalg.eigvals holds it)."""
     capsule = scipy.linalg.cython_lapack.__pyx_capi__["dgeev"]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
@@ -99,9 +98,16 @@ def _lapack_dgeev():
     if kinds != "ccididddididii":
         raise ImportError(f"cython_lapack dgeev has signature {signature}")
     types = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int),
-             "d": ctypes.POINTER(ctypes.c_double)}
+             "d": np.ctypeslib.ndpointer(np.float64)}
     return ctypes.CFUNCTYPE(None, *map(types.get, kinds))(
         get_pointer(capsule, name))
+
+
+def _openblas(name):
+    """OpenBLAS's `name`, with the scipy wheel's scipy_ prefix or without,
+    or None, from cython_lapack's library and the libraries it links."""
+    lib = ctypes.CDLL(scipy.linalg.cython_lapack.__file__)
+    return getattr(lib, "scipy_" + name, None) or getattr(lib, name, None)
 
 
 def _threaded_openblas():
@@ -109,46 +115,37 @@ def _threaded_openblas():
     build (get_parallel() != 0), which takes dgeev calls from two threads
     at once.  A sequential OpenBLAS build (get_parallel() == 0) does so
     safely only when built with USE_LOCKING, which it cannot report, and
-    a LAPACK without the query is not known to: False for both.  The
-    query is found from cython_lapack's own library, since a symbol
-    lookup on a library's handle also searches the libraries it links."""
-    lib = ctypes.CDLL(scipy.linalg.cython_lapack.__file__)
-    for name in ("scipy_openblas_get_parallel", "openblas_get_parallel"):
-        query = getattr(lib, name, None)
-        if query is not None:
-            return query() != 0
-    return False
+    a LAPACK without the query is not known to: False for both."""
+    query = _openblas("openblas_get_parallel") or (lambda: 0)
+    return query() != 0
 
 
 _DGEEV = _lapack_dgeev()
 _THREAD_SAFE = _threaded_openblas()
+_GET_THREADS = _openblas("openblas_get_num_threads")
+_SET_THREADS = _openblas("openblas_set_num_threads")
+_SOLVING = threading.Lock()
 
 
 def _dgeev_args(a):
     """(args, wr, wi, info) for eigenvalues only of the block `a`: dgeev's
     arguments on a dense Fortran-order copy of `a`, which dgeev
-    overwrites, with a workspace of the size a lwork = -1 query asks for
-    (scipy.linalg.eigvals' size).  The args hold every array and int they
-    point to; wr and wi start as NaN."""
+    overwrites, with the workspace size and info check of eigvals' query,
+    scipy's dgeev_lwork.  The args hold the arrays and ints themselves;
+    wr and wi start as NaN."""
     dense = a.toarray(order="F")
-    n = len(dense)
-    wr, wi, unused, query = (np.full(k, np.nan) for k in (n, n, 1, 1))
-    size, lda, ldv, lwork, info = map(ctypes.c_int, (n, max(1, n), 1, -1, 0))
-
-    def args(work):
-        return (b"N", b"N", ctypes.byref(size), _pointer(dense),
-                ctypes.byref(lda), _pointer(wr), _pointer(wi),
-                _pointer(unused), ctypes.byref(ldv), _pointer(unused),
-                ctypes.byref(ldv), _pointer(work), ctypes.byref(lwork),
-                ctypes.byref(info))
-    _DGEEV(*args(query))
-    _check_dgeev(info)
-    lwork.value = int(query[0])
-    return args(np.empty(lwork.value)), wr, wi, info
-
-
-def _pointer(array):
-    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
+    n, lda = len(dense), max(1, len(dense))     # dgeev_lwork rejects n = 0
+    work, info = scipy.linalg.lapack.dgeev_lwork(lda, compute_vl=0,
+                                                 compute_vr=0)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: "
+                         f"{info}")
+    wr, wi, unused = (np.full(k, np.nan) for k in (n, n, 1))
+    size, lda, ldv, lwork, info = map(ctypes.c_int, (n, lda, 1, int(work), 0))
+    args = (b"N", b"N", ctypes.byref(size), dense, ctypes.byref(lda), wr,
+            wi, unused, ctypes.byref(ldv), unused, ctypes.byref(ldv),
+            np.empty(lwork.value), ctypes.byref(lwork), ctypes.byref(info))
+    return args, wr, wi, info
 
 
 def _check_dgeev(info):
@@ -170,15 +167,17 @@ def eig_dense(blocks):
     (dgeev), with no eigenvectors, bit for bit scipy.linalg.eigvals.
 
     The calling thread makes every dense Fortran-order copy, result array
-    and workspace first (_dgeev_args): the copies are the N x N arrays of
-    the solve, all alive at once, and the blocks stay unchanged.  The
-    first block's dgeev runs in the calling thread and each further
-    block's in a thread of its own, which real_blocks' two half-grid
-    blocks keep to one extra thread.  Only the foreign call runs there,
-    and it is joined before anything returns or raises.  Where the LAPACK
-    is not a threaded OpenBLAS build (_threaded_openblas), every dgeev
-    runs in the calling thread, one after the other.  Each info is
-    checked after every solve has ended (_check_dgeev).
+    and workspace (of dgeev_lwork's size) first (_dgeev_args): the N x N
+    copies are all alive at once, and the blocks stay unchanged.  On a
+    threaded OpenBLAS build (_threaded_openblas) an extra thread, joined
+    before anything returns or raises, solves the second half-grid block
+    while the calling thread solves the first, each at one OpenBLAS
+    thread (at two each they ran 2-3 times slower on two cores, with
+    values that depend on the count).  The count is process-global: calls
+    of eig_dense from several threads solve one at a time, but other BLAS
+    calls run at one thread until it is restored after the join.
+    Otherwise every dgeev runs in the calling thread at the library's
+    count.  Each info is checked after every solve.
 
     A block that is not float64 raises TypeError, and one that is not
     square ValueError, before any LAPACK call."""
@@ -190,8 +189,12 @@ def eig_dense(blocks):
                              f"{a.shape}")
     solves = [_dgeev_args(a) for a in blocks]
     extra = solves[1:] if _THREAD_SAFE else []
-    workers = []
+    workers, threads = [], None
+    _SOLVING.acquire()
     try:
+        if extra and _SET_THREADS is not None:
+            threads = _GET_THREADS()
+            _SET_THREADS(1)
         for args, *_ in extra:
             worker = threading.Thread(target=_DGEEV, args=args)
             worker.start()
@@ -201,6 +204,9 @@ def eig_dense(blocks):
     finally:
         for worker in workers:
             worker.join()
+        if threads is not None:
+            _SET_THREADS(threads)
+        _SOLVING.release()
     out = []
     for _, wr, wi, info in solves:
         _check_dgeev(info)
@@ -272,9 +278,11 @@ def _spurious_cut(g, band):
 
 
 def solve_spectrum(model, contour, reality_tol=DEFAULT_REALITY_TOL):
-    """Every eigenvalue (_dense_spectrum), classified with _spurious_cut,
+    """Every eigenvalue of contour.real_blocks (eig_dense), classified
+    with _spurious_cut (each half-grid block has the full-grid ||A||_1),
     and the PT defect of its eigenvector of H (_pt_defects)."""
-    blocks, values = _dense_spectrum(model, contour)
+    blocks = real_blocks(model, contour)
+    values = eig_dense(blocks)
     defects = np.concatenate(list(map(_pt_defects, blocks, values)))
     values = np.concatenate(values)
     order = _sort_order(values)
@@ -283,14 +291,6 @@ def solve_spectrum(model, contour, reality_tol=DEFAULT_REALITY_TOL):
         spurious_cut=_spurious_cut(contour, folded_band(blocks[0])))
     result.pt_defects = defects[order]
     return result
-
-
-def _dense_spectrum(model, g):
-    """The real forms of contour.real_blocks and the eigenvalues of each
-    (eig_dense).  Half-grid blocks hold the entries of the full-grid A,
-    so every block has its ||A||_1."""
-    blocks = real_blocks(model, g)
-    return blocks, eig_dense(blocks)
 
 
 def _pt_defects(a, values):
@@ -420,8 +420,8 @@ def _certified_window(model, g, k, certify):
     eigenvalues of A nearest to sigma from a fixed start vector, so every
     run gives the same window; certify(band, sigma, cut, values) returns
     the accepted values or None.  Then, or when ARPACK fails, k doubles;
-    once 2k would reach N, every eigenvalue of the dense solve
-    (_dense_spectrum, as in solve_spectrum) answers instead."""
+    once 2k would reach N, every eigenvalue of eig_dense on
+    contour.real_blocks answers instead."""
     a = real_form(model, g)
     band = folded_band(a)
     sigma = _shift(band[len(band) // 2], g)
@@ -440,7 +440,7 @@ def _certified_window(model, g, k, certify):
             if accepted is not None:
                 return accepted, cut
         k *= 2
-    return np.concatenate(_dense_spectrum(model, g)[1]), cut
+    return np.concatenate(eig_dense(real_blocks(model, g))), cut
 
 
 def _gap_above(re, top):
@@ -726,12 +726,10 @@ def ptho_numeric_family(model, contour, levels):
     values of `model` at coupling alpha on `contour` below a certified x,
     at least `levels` of them when they exist.
 
-    Each point runs the shift-invert window loop of solve_lowest with
-    k = 2 levels + 4.  x is the midpoint of the first wide gap in real parts
-    at or above the levels-th window value (the rule of solve_lowest),
-    and the window is accepted when count_missing finds no eigenvalue
-    with Re < x missing from it; otherwise k doubles, and once 2k reaches
-    N the loop answers with every value of the dense solve (eig_dense).
+    Each point runs the window loop (_certified_window) with k = 2 levels
+    + 4, places x above the levels-th window value as solve_lowest does,
+    and accepts the window when count_missing finds no eigenvalue with
+    Re < x missing from it.
 
     Only the spurious cutoff is applied; no reality/pair classification.
     Inside the tiny exceptional-point window around a crossing the

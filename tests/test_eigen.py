@@ -1,9 +1,12 @@
 """Dense eigensolve, band vectors, classification, PT defect, matching,
 and scans."""
 
+import contextlib
 import ctypes
 import math
+import sys
 import threading
+import time
 import tracemalloc
 import types
 import warnings
@@ -11,15 +14,14 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.linalg.cython_lapack
 import scipy.sparse.linalg
 
 import ptspec as ps
 import ptspec.eigen
 from ptspec.contour import MAX_POINTS, folded_band, real_blocks, real_form
-from ptspec.eigen import (PAIR, REAL, SPURIOUS, _band_vectors,
-                          _dense_spectrum, _gap_above, _log_det, _pt_defects,
-                          _shift, _skew_norm, _spurious_cut, _stacked_lu,
+from ptspec.eigen import (PAIR, REAL, SPURIOUS, _band_vectors, _gap_above,
+                          _log_det, _openblas, _pt_defects, _shift,
+                          _skew_norm, _spurious_cut, _stacked_lu,
                           count_missing)
 from ptspec.exceptions import InsufficientLevels, NonConvergence
 
@@ -44,29 +46,31 @@ def realification(m):
     return np.block([[m.real, -m.imag], [m.imag, m.real]])
 
 
-def _openblas(name):
-    """The OpenBLAS function `name` from the library cython_lapack links,
-    under the scipy wheel's prefix or without it, or None."""
-    lib = ctypes.CDLL(scipy.linalg.cython_lapack.__file__)
-    for prefix in ("scipy_", ""):
-        function = getattr(lib, prefix + name, None)
-        if function is not None:
-            return function
-    return None
+@contextlib.contextmanager
+def openblas_threads(count):
+    """OpenBLAS at `count` threads per call inside the block, restored
+    after it; on another LAPACK nothing changes."""
+    get = _openblas("openblas_get_num_threads")
+    set_ = _openblas("openblas_set_num_threads")
+    if get is None or set_ is None:
+        yield
+        return
+    before = get()
+    set_(count)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 @pytest.fixture(params=[1, 2], ids=["one-blas-thread", "two-blas-threads"])
 def blas_threads(request):
     """OpenBLAS at 1 and at 2 threads per call for the test, restored
     after it."""
-    get = _openblas("openblas_get_num_threads")
-    set_ = _openblas("openblas_set_num_threads")
-    if get is None or set_ is None:
+    if _openblas("openblas_set_num_threads") is None:
         pytest.skip("the LAPACK is not OpenBLAS")
-    before = get()
-    set_(request.param)
-    yield request.param
-    set_(before)
+    with openblas_threads(request.param):
+        yield request.param
 
 
 @pytest.fixture(params=[True, False], ids=["threaded", "sequential"])
@@ -95,17 +99,13 @@ def record_threads(monkeypatch):
 
 
 def dgeev_stub(monkeypatch, code):
-    """Replace the LAPACK binding by a stub that answers the workspace
-    query with one double and sets info to `code` on every solve."""
+    """Replace the LAPACK binding by a stub that records each block's
+    size and sets info to `code` on every solve."""
     calls = []
 
     def dgeev(*args):
-        lwork, info = args[-2]._obj, args[-1]._obj
-        if lwork.value == -1:
-            args[11][0] = 1.0
-        else:
-            calls.append(args[2]._obj.value)
-            info.value = code
+        calls.append(args[2]._obj.value)
+        args[-1]._obj.value = code
     monkeypatch.setattr(ptspec.eigen, "_DGEEV", dgeev)
     return calls
 
@@ -165,12 +165,16 @@ class TestEigDense:
         (ps.AngularParams(ell=2.0, eps=0.1), 512)])
     def test_values_are_eigvals_bit_for_bit(self, blas_threads, model,
                                             npoints):
+        # blocks solved concurrently run at one OpenBLAS thread each, so
+        # their reference is eigvals at one thread
         g = ps.contour_for(model, npoints=npoints)
         blocks = real_blocks(model, g)
         got = ps.eig_dense(blocks)
         assert len(got) == len(blocks)
+        concurrent = ptspec.eigen._THREAD_SAFE and len(blocks) > 1
         for a, values in zip(blocks, got):
-            reference = scipy.linalg.eigvals(a.toarray())
+            with openblas_threads(1 if concurrent else blas_threads):
+                reference = scipy.linalg.eigvals(a.toarray())
             assert np.array_equal(
                 values,
                 reference[np.lexsort((reference.imag, reference.real))])
@@ -178,13 +182,30 @@ class TestEigDense:
     @pytest.mark.parametrize("ell", [1.0, 2.0])
     def test_blocks_together_equal_one_at_a_time(self, monkeypatch, ell):
         # the second block is solved in a thread of its own while the
-        # first is solved here
+        # first is solved here, each at one OpenBLAS thread, as a single
+        # block is solved at one thread
         monkeypatch.setattr(ptspec.eigen, "_THREAD_SAFE", True)
         model = ps.AngularParams(ell=ell, eps=0.1)
         blocks = real_blocks(model, ps.contour_for(model, npoints=512))
         together = ps.eig_dense(blocks)
         for a, values in zip(blocks, together):
-            assert np.array_equal(values, ps.eig_dense([a])[0])
+            with openblas_threads(1):
+                assert np.array_equal(values, ps.eig_dense([a])[0])
+
+    @pytest.mark.parametrize("ell", [1.0, 2.0])
+    def test_blocks_are_the_same_at_every_blas_thread_count(self, ell):
+        # each concurrent solve runs at one OpenBLAS thread, whatever the
+        # count the caller set
+        if _openblas("openblas_set_num_threads") is None:
+            pytest.skip("the LAPACK is not OpenBLAS")
+        model = ps.AngularParams(ell=ell, eps=0.1)
+        blocks = real_blocks(model, ps.contour_for(model, npoints=512))
+        values = []
+        for threads in (1, 2):
+            with openblas_threads(threads):
+                values.append(ps.eig_dense(blocks))
+        for one, two in zip(*values):
+            assert np.array_equal(one, two)
 
     @pytest.mark.parametrize("npoints", [64, 66])
     def test_at_most_one_extra_thread(self, thread_safe, monkeypatch,
@@ -239,6 +260,76 @@ class TestEigDense:
         assert calls == [32, 32]
         assert not any(thread.is_alive() for thread, _ in made)
 
+    @pytest.mark.parametrize("code", [0, 3, -5])
+    def test_blas_threads_are_restored_after_a_return_or_a_raise(
+            self, blas_threads, monkeypatch, code):
+        # both concurrent solves see one OpenBLAS thread, and the count
+        # set before the call is back once eig_dense returns (info 0) or
+        # raises (info 3 and -5)
+        monkeypatch.setattr(ptspec.eigen, "_THREAD_SAFE", True)
+        get = _openblas("openblas_get_num_threads")
+        dgeev_stub(monkeypatch, code)
+        stub, during = ptspec.eigen._DGEEV, []
+        monkeypatch.setattr(ptspec.eigen, "_DGEEV",
+                            lambda *args: during.append(get()) or stub(*args))
+        model = ps.AngularParams(ell=1.0, eps=0.1)
+        blocks = real_blocks(model, ps.contour_for(model, npoints=64))
+        if code:
+            with pytest.raises((NonConvergence, ValueError)):
+                ps.eig_dense(blocks)
+        else:
+            ps.eig_dense(blocks)
+        assert during == [1, 1]
+        assert get() == blas_threads
+
+    def test_concurrent_calls_keep_the_callers_blas_threads(self,
+                                                            monkeypatch):
+        # eig_dense calls from several threads solve one at a time, so
+        # every solve sees one OpenBLAS thread, and the caller's count is
+        # back after all of them
+        if _openblas("openblas_set_num_threads") is None:
+            pytest.skip("the LAPACK is not OpenBLAS")
+        monkeypatch.setattr(ptspec.eigen, "_THREAD_SAFE", True)
+        get = _openblas("openblas_get_num_threads")
+        during = []
+
+        def dgeev(*args):
+            during.append(get())
+            time.sleep(1e-3)
+        monkeypatch.setattr(ptspec.eigen, "_DGEEV", dgeev)
+        model = ps.AngularParams(ell=1.0, eps=0.1)
+        blocks = real_blocks(model, ps.contour_for(model, npoints=64))
+        callers = [threading.Thread(
+            target=lambda: [ps.eig_dense(blocks) for _ in range(10)])
+            for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with openblas_threads(2):
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(timeout=60)
+                after = get()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert during == [1] * 80
+        assert after == 2
+
+    def test_workspace_query_info_raises(self, monkeypatch):
+        # a failed dgeev_lwork query raises as scipy.linalg.eigvals does,
+        # before any solve
+        calls = dgeev_stub(monkeypatch, 0)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgeev_lwork",
+                            lambda n, **kwargs: (0.0, -1))
+        with pytest.raises(ValueError, match="work array size"):
+            ps.eig_dense([scipy.sparse.coo_array(np.eye(3))])
+        assert calls == []
+
+    def test_empty_block_has_no_values(self):
+        values = ps.eig_dense([scipy.sparse.coo_array((0, 0))])
+        assert len(values) == 1 and values[0].shape == (0,)
 
     @pytest.mark.parametrize("lib,expected", [
         ({"scipy_openblas_get_parallel": 1}, True),
@@ -703,7 +794,7 @@ class TestSymmetryBlocks:
         a = real_form(model, g)
         assert np.array_equal(blocks[0].toarray(), a.toarray())
         values = ps.eig_dense([a])[0]
-        assert np.array_equal(_dense_spectrum(model, g)[1][0], values)
+        assert np.array_equal(ps.eig_dense(real_blocks(model, g))[0], values)
         res = ps.solve_spectrum(model, g)
         assert np.array_equal(res.eigenvalues, values)
         upper = values.imag > 0

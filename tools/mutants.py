@@ -8,7 +8,8 @@ replaces the old string, which must occur exactly once, and runs only the
 named tests against the copy, in a process whose ptspec must import from
 the copy.  The mutant is caught when pytest exits 1 (a test failed) or
 runs past TIMEOUT_S.  pytest exiting 0 means it survived; any other exit,
-such as 4 for a mistyped test id, is an error of the runner.
+such as 4 for a mistyped test id, or 98 for a copy that does not import
+(a mutant that is not valid Python), is an error of the runner.
 
 The tests run from the repository's tests/, in process.  A test that
 starts a subprocess on the repository's src/ would not see the mutant, so
@@ -29,10 +30,18 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300
 
 # imports ptspec from the copy given as argv[1], then runs pytest on the
-# rest of argv; exit 99 when ptspec resolves elsewhere (an installed copy)
+# rest of argv; exit 98 when the copy does not import (a mutant that is
+# not valid Python fails no test), 99 when ptspec resolves elsewhere (an
+# installed copy)
 PROBE = """\
-import os, sys
-import ptspec, pytest
+import os, sys, traceback
+import pytest
+try:
+    import ptspec.cli
+except Exception:
+    traceback.print_exc()
+    sys.exit(98)
+import ptspec
 if os.path.commonpath([ptspec.__file__, sys.argv[1]]) != sys.argv[1]:
     print("ptspec imported from", ptspec.__file__, "not the copy")
     sys.exit(99)
@@ -129,6 +138,26 @@ MUTANTS = [
     ("eigen.py", "blocks[w] -= shifts", "blocks[w - 1] -= shifts",
      ["tests/test_eigen.py::TestCountMissing"
       "::test_log_det_matches_slogdet"]),
+    # LAPACK's minimum workspace, 3 N, in place of dgeev_lwork's size
+    ("eigen.py", "(n, lda, 1, int(work), 0)",
+     "(n, lda, 1, max(1, 3 * n), 0)",
+     ["tests/test_eigen.py::TestEigDense"
+      "::test_values_are_eigvals_bit_for_bit"]),
+    # concurrent solves left at the caller's OpenBLAS thread count
+    ("eigen.py", "            _SET_THREADS(1)\n", "            pass\n",
+     ["tests/test_eigen.py::TestEigDense"
+      "::test_blocks_are_the_same_at_every_blas_thread_count",
+      "tests/test_eigen.py::TestEigDense"
+      "::test_blas_threads_are_restored_after_a_return_or_a_raise"]),
+    # the caller's OpenBLAS thread count never restored
+    ("eigen.py", "            _SET_THREADS(threads)\n", "            pass\n",
+     ["tests/test_eigen.py::TestEigDense"
+      "::test_blas_threads_are_restored_after_a_return_or_a_raise"]),
+    # eig_dense calls from several threads no longer one at a time
+    ("eigen.py", "_SOLVING = threading.Lock()",
+     "_SOLVING = threading.Semaphore(8)",
+     ["tests/test_eigen.py::TestEigDense"
+      "::test_concurrent_calls_keep_the_callers_blas_threads"]),
 ]
 
 
