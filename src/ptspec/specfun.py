@@ -1,8 +1,10 @@
 """Complex-argument special functions evaluated by three-term recurrences.
 
 Everything here is a plain function of scalar (or numpy-broadcastable)
-arguments.  Polynomial families are evaluated by upward recurrence, which
-is stable for the modest degrees (<= ~30) this package ever requests.
+arguments.  Polynomial families are evaluated by upward recurrence at any
+degree asked for: ``wavefunction.index`` may be any value below
+``contour.npoints`` (the tests use 400 and 1000), and a wavefunction that
+is not finite makes ``cli.cmd_wavefunction`` exit 3.
 """
 
 import numpy as np
@@ -32,20 +34,11 @@ def gegenbauer(k, lam, x):
     """Gegenbauer polynomial C_k^lam(x) for complex x.
 
     The recurrence m C_m = 2x(m + lam - 1) C_{m-1} - (m + 2 lam - 2) C_{m-2}
-    is applied verbatim; for non-positive integer lam this yields the
-    identically-zero polynomials of the degenerate family (see
+    (DLMF 18.9.1) is applied verbatim; for non-positive integer lam this
+    yields the identically-zero polynomials of the degenerate family (see
     ``gegenbauer_renormalized`` for the nonzero limiting functions).
     """
-    if k < 0:
-        raise DomainError("Gegenbauer degree must be non-negative")
-    x = np.asarray(x, dtype=complex)
-    pm1 = np.ones_like(x)            # C_0
-    if k == 0:
-        return pm1 if pm1.ndim else complex(pm1)
-    p = 2.0 * lam * x                # C_1
-    for m in range(2, k + 1):
-        p, pm1 = (2 * x * (m + lam - 1) * p - (m + 2 * lam - 2) * pm1) / m, p
-    return p if p.ndim else complex(p)
+    return _gegenbauer_pair(k, lam, x)[0]
 
 
 def gegenbauer_is_degenerate(k, lam):
@@ -63,23 +56,29 @@ def gegenbauer_renormalized(k, lam, x):
     eigenfunction family.  At lam = 0 it equals (2/k) T_k(x) with T_k the
     Chebyshev polynomial of the first kind.
 
-    Computed by propagating (value, d/dlam) jointly through the recurrence,
-    so no finite-difference noise is introduced.
+    Computed by propagating (value, d/dlam) jointly through the one
+    recurrence pass that also gives ``gegenbauer``, so no finite-difference
+    noise is introduced.
     """
+    return _gegenbauer_pair(k, lam, x)[1]
+
+
+def _gegenbauer_pair(k, lam, x):
+    """(C_k^lam(x), d/dlam C_k^lam(x)) from one upward pass of DLMF 18.9.1
+    and its lam-derivative: complex scalars for a scalar x, arrays of x's
+    shape otherwise."""
     if k < 0:
         raise DomainError("Gegenbauer degree must be non-negative")
     x = np.asarray(x, dtype=complex)
     p_m1, d_m1 = np.ones_like(x), np.zeros_like(x)      # C_0, dC_0
-    if k == 0:
-        return d_m1 if d_m1.ndim else complex(d_m1)
-    p, d = 2.0 * lam * x, 2.0 * x                       # C_1, dC_1
+    p, d = (2.0 * lam * x, 2.0 * x) if k else (p_m1, d_m1)  # C_1, dC_1
     for m in range(2, k + 1):
         p_new = (2 * x * (m + lam - 1) * p - (m + 2 * lam - 2) * p_m1) / m
         d_new = (2 * x * p + 2 * x * (m + lam - 1) * d
                  - 2 * p_m1 - (m + 2 * lam - 2) * d_m1) / m
         p, p_m1 = p_new, p
         d, d_m1 = d_new, d
-    return d if d.ndim else complex(d)
+    return (p, d) if x.ndim else (complex(p), complex(d))
 
 
 def _terminating_degree(u, v):

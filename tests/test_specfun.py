@@ -132,6 +132,26 @@ class TestGegenbauer:
             assert gegenbauer_renormalized(k, lam, x) == pytest.approx(
                 fd, rel=1e-6, abs=1e-6)
 
+    def test_renormalized_degree_zero_is_zero(self):
+        # d/dlam C_0^lam = d/dlam 1 = 0, the derivative's degree-0 seed
+        val = gegenbauer_renormalized(0, 1.5, 0.3 - 0.2j)
+        assert type(val) is complex and val == 0
+        x = np.array([[0.3 - 0.2j, -1.1], [2.0j, 0.5]])
+        out = gegenbauer_renormalized(0, 1.5, x)
+        assert out.shape == x.shape and not np.any(out)
+
+    @pytest.mark.parametrize("func", [gegenbauer, gegenbauer_renormalized])
+    def test_vectorized_argument(self, func):
+        x = np.array([[0.3 - 0.2j, -1.1 + 0.4j, 2.0j],
+                      [0.5 + 0j, -0.9 - 0.1j, 1.7 + 1.3j]])
+        for k in (0, 1, 4):
+            for lam in (1.5, 0.0, -1.0):
+                out = func(k, lam, x)
+                assert out.shape == x.shape
+                for i in np.ndindex(x.shape):
+                    ref = func(k, lam, complex(x[i]))
+                    assert abs(out[i] - ref) <= 1e-14 * max(1, abs(ref))
+
 
 class TestHyp2F1:
     def test_zero_argument(self):

@@ -158,6 +158,24 @@ MUTANTS = [
      "_SOLVING = threading.Semaphore(8)",
      ["tests/test_eigen.py::TestEigDense"
       "::test_concurrent_calls_keep_the_callers_blas_threads"]),
+    # gegenbauer returns the lam-derivative in place of the value
+    ("specfun.py", "return _gegenbauer_pair(k, lam, x)[0]",
+     "return _gegenbauer_pair(k, lam, x)[1]",
+     ["tests/test_specfun.py::TestGegenbauer::test_degree_zero_is_one",
+      "tests/test_specfun.py::TestGegenbauer::test_frozen_oracle_value"]),
+    # gegenbauer_renormalized returns the value in place of the derivative
+    ("specfun.py", "return _gegenbauer_pair(k, lam, x)[1]",
+     "return _gegenbauer_pair(k, lam, x)[0]",
+     ["tests/test_specfun.py::TestGegenbauer"
+      "::test_renormalized_degree_zero_is_zero",
+      "tests/test_specfun.py::TestGegenbauer"
+      "::test_renormalized_limit_is_chebyshev_at_zero_weight"]),
+    # the derivative's degree-1 seed dC_1/dlam = 2x taken as 2
+    ("specfun.py", "2.0 * x) if k", "2.0) if k",
+     ["tests/test_specfun.py::TestGegenbauer"
+      "::test_renormalized_limit_is_chebyshev_at_zero_weight",
+      "tests/test_specfun.py::TestGegenbauer"
+      "::test_renormalized_matches_finite_difference"]),
 ]
 
 
